@@ -2,8 +2,9 @@
 extensions, and a self-check against the brute-force enumeration.
 
 Words stream to stdout, one per line; diagnostics go to stderr.  Exit codes:
-0 success (or a true answer), 1 a false answer from `check`/`oracle`,
-2 usage or input error, 3 a resource cap was hit.
+0 success (or a true answer), 1 a false answer from `check`/`oracle` or
+stdout closed by its reader before the output ended (as in `gen ... | head`;
+no traceback is printed), 2 usage or input error, 3 a resource cap was hit.
 """
 
 from __future__ import annotations
@@ -35,17 +36,31 @@ from .words import (
 GEN_CAP_ENV = "PREFIXNORMAL_GEN_CAP"
 ORACLE_CAP_ENV = "PREFIXNORMAL_ORACLE_CAP"
 
+# Commands that refuse n above a cap: the cap's name, the environment
+# variable that sets it, and its default.
+_CAPS = {
+    "generation": (GEN_CAP_ENV, DEFAULT_GEN_CAP),
+    "oracle": (ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP),
+}
 
-def _gen_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    return int(os.environ.get(GEN_CAP_ENV, DEFAULT_GEN_CAP))
 
+def _checked_cap(args) -> int:
+    """The cap on n from --cap, else the environment, else the default.
 
-def _oracle_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    return int(os.environ.get(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP))
+    Raises ValueError when n exceeds it or the environment value is not an
+    integer.
+    """
+    env, default = _CAPS[args.cap_kind]
+    cap = args.cap
+    if cap is None:
+        raw = os.environ.get(env)
+        try:
+            cap = default if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"{env} must be an integer, got {raw!r}") from None
+    if args.n > cap:
+        raise ValueError(f"n={args.n} exceeds the {args.cap_kind} cap ({cap})")
+    return cap
 
 
 def _order(args) -> Order:
@@ -64,11 +79,11 @@ def _emit_words(words: list[str], fmt: str, out) -> None:
         out.write(json.dumps({"count": len(words), "words": words}) + "\n")
 
 
+def _emit_report(report, fmt: str) -> None:
+    sys.stdout.write(report.to_csv() if fmt == "csv" else report.to_json() + "\n")
+
+
 def cmd_gen(args) -> int:
-    cap = _gen_cap(args)
-    if args.n > cap:
-        print(f"error: n={args.n} exceeds the generation cap ({cap})", file=sys.stderr)
-        return 2
     if args.count_only:
         total = generate_all(args.n, lambda view: None, _order(args))
         print(total)
@@ -86,10 +101,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_critset(args) -> int:
-    cap = _gen_cap(args)
-    if args.n > cap:
-        print(f"error: n={args.n} exceeds the generation cap ({cap})", file=sys.stderr)
-        return 2
     if args.count_only:
         count = critset(args.n, args.s, args.t, lambda view: None, _order(args))
         print(count)
@@ -102,29 +113,13 @@ def cmd_critset(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cap = _gen_cap(args)
-    if args.n > cap:
-        print(f"error: n={args.n} exceeds the generation cap ({cap})", file=sys.stderr)
-        return 2
     t_max = args.t_max if args.t_max is not None else args.n
-    table = critset_table(args.n, args.s_max, t_max, jobs=args.jobs)
-    if args.format == "csv":
-        sys.stdout.write(table.to_csv())
-    else:
-        sys.stdout.write(table.to_json() + "\n")
+    _emit_report(critset_table(args.n, args.s_max, t_max, jobs=args.jobs), args.format)
     return 0
 
 
 def cmd_hist(args) -> int:
-    cap = _gen_cap(args)
-    if args.n > cap:
-        print(f"error: n={args.n} exceeds the generation cap ({cap})", file=sys.stderr)
-        return 2
-    hist = critical_prefix_histogram(args.n, cap=cap)
-    if args.format == "csv":
-        sys.stdout.write(hist.to_csv())
-    else:
-        sys.stdout.write(hist.to_json() + "\n")
+    _emit_report(critical_prefix_histogram(args.n, cap=args.cap), args.format)
     return 0
 
 
@@ -147,6 +142,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    if args.steps < 0:
+        raise ValueError("--steps must be >= 0")
     w = args.word
     if args.detect:
         report = detect_period(w, scan_cap=args.scan_cap)
@@ -160,12 +157,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cap = _oracle_cap(args)
-    if args.n > cap:
-        print(f"error: n={args.n} exceeds the oracle cap ({cap})", file=sys.stderr)
-        return 2
     n = args.n
-    expected = list(oracle_enumerate(n, cap))
+    expected = list(oracle_enumerate(n, args.cap))
     lex: list[str] = []
     generate_all(n, lambda view: lex.append(bytes(view).decode("ascii")), Order.LEX)
     gray: list[str] = []
@@ -196,38 +189,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="list all prefix normal words of a given length")
-    p.add_argument("-n", type=int, required=True)
+    def sized(name: str, summary: str, func, cap_kind: str = "generation"):
+        # A command over all words of length n, refused above a cap.
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("--cap", type=int, default=None)
+        p.set_defaults(func=func, cap_kind=cap_kind)
+        return p
+
+    p = sized("gen", "list all prefix normal words of a given length", cmd_gen)
     p.add_argument("--order", choices=["lex", "gray"], default="lex")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("critset", help="list the words with critical prefix 1^s 0^t")
-    p.add_argument("-n", type=int, required=True)
+    p = sized("critset", "list the words with critical prefix 1^s 0^t", cmd_critset)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("-t", type=int, required=True)
     p.add_argument("--order", choices=["lex", "gray"], default="lex")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_critset)
 
-    p = sub.add_parser("table", help="matrix of critical-prefix class sizes")
-    p.add_argument("-n", type=int, required=True)
+    p = sized("table", "matrix of critical-prefix class sizes", cmd_table)
     p.add_argument("--s-max", type=int, default=7)
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("hist", help="histogram of critical prefix lengths")
-    p.add_argument("-n", type=int, required=True)
+    p = sized("hist", "histogram of critical prefix lengths", cmd_hist)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_hist)
 
     p = sub.add_parser("check", help="analyze a single word")
     p.add_argument("word")
@@ -240,10 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-cap", type=int, default=None)
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("oracle", help="compare the generator against brute force")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
+    sized("oracle", "compare the generator against brute force", cmd_oracle, "oracle")
 
     return parser
 
@@ -251,7 +237,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if hasattr(args, "cap_kind"):
+            args.cap = _checked_cap(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`gen ... | head`).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ScanCapExceeded as exc:
         partial = {
             "seed": exc.seed,

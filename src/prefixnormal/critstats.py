@@ -2,7 +2,10 @@
 
 The words of length n whose critical prefix is exactly 1^s 0^t form one seed
 word plus one flip-subtree of the generation tree, so they can be listed
-without touching the rest of the language.
+without touching the rest of the language.  These classes partition every
+nonzero word, so class sizes are the only counting path: the (s, t) table
+lists them, and the histogram of critical prefix lengths folds them along
+the diagonals s + t, with the all-zero word added to bin n.
 """
 
 from __future__ import annotations
@@ -11,11 +14,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .generate import DEFAULT_GEN_CAP, Order, generate_all, generate_pn, iter_pn
+from .generate import DEFAULT_GEN_CAP, Order, generate_pn
 from .ops import flip, min_flip
 from .words import is_prefix_normal
-
-_ZERO, _ONE = 0x30, 0x31
 
 
 def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
@@ -60,21 +61,7 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
 
 def critset_count(n: int, s: int, t: int) -> int:
     """Size of the class with critical prefix 1^s 0^t among length-n words."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    if s < 1:
-        raise ValueError("s must be >= 1; only the all-zero word has s == 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if s + t > n or (t == 0 and s + t < n):
-        return 0
-    if s + t == n:
-        return 1
-    seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
-    phi = min_flip(seed)
-    if phi > n:
-        return 1
-    return 1 + sum(1 for _ in iter_pn(flip(seed, phi), copy=False))
+    return critset(n, s, t, lambda view: None)
 
 
 @dataclass(frozen=True)
@@ -121,6 +108,8 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTab
     """
     if s_max < 1 or t_max < 1:
         raise ValueError("s_max and t_max must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     s_values = tuple(range(1, s_max + 1))
     t_values = tuple(range(0, t_max + 1))
     keys = [(s, t) for s in s_values for t in t_values]
@@ -168,24 +157,21 @@ class Histogram:
 
 
 def critical_prefix_histogram(n: int, cap: int | None = None) -> Histogram:
-    """Single enumeration pass binning words by critical prefix length.
+    """Bin the words of length n by critical prefix length s + t.
 
-    The all-zero word lands in bin n (its critical prefix is the whole word).
+    Each bin sums the sizes of the classes on its diagonal; the all-zero word
+    belongs to no class and lands in bin n (its critical prefix is the whole
+    word).
     """
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
     limit = DEFAULT_GEN_CAP if cap is None else cap
     if n > limit:
         raise ValueError(f"n={n} exceeds the enumeration cap ({limit})")
-    bins: dict[int, int] = {}
-
-    def tally(view) -> None:
-        m = len(view)
-        i = 0
-        while i < m and view[i] == _ONE:
-            i += 1
-        j = i
-        while j < m and view[j] == _ZERO:
-            j += 1
-        bins[j] = bins.get(j, 0) + 1
-
-    total = generate_all(n, tally)
-    return Histogram(n=n, bins=bins, total=total)
+    bins = {n: 1}
+    for s in range(1, n + 1):
+        for t in range(n - s + 1):
+            count = critset_count(n, s, t)
+            if count:
+                bins[s + t] = bins.get(s + t, 0) + count
+    return Histogram(n=n, bins=bins, total=sum(bins.values()))

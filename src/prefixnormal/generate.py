@@ -7,10 +7,15 @@ An in-order walk of that tree lists the words in increasing lexicographic
 order; a post-order walk lists them so that neighbours differ in at most 3
 positions (a combinatorial Gray code).
 
-The walk is iterative: one mutable byte buffer holds the current word, an
-explicit stack of undo records tracks the path to the root, and the min_flip
-value is carried along -- recomputed by a linear scan after each flip edge,
-but derived in O(1) along bubble runs.
+Both orders come from one loop.  It writes each tree move once -- bubble
+down, undo a bubble, flip right, undo a flip -- and the order only decides
+where a node is yielded: between its two subtrees (LEX) or after both
+(GRAY).  One mutable byte buffer holds the current word, an explicit stack
+of undo records tracks the path to the root, and the min_flip value is
+carried along -- recomputed by a linear scan after each flip edge, but
+derived in O(1) along bubble runs.  Every entry point is a thin shell over
+that walk; the full listings put 0^n and 10^(n-1) in front of the tree
+rooted at 110^(n-2).
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ class OpCounter:
         self.count += k
 
 
-def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None,
-          check_fast_phi: bool = False):
+def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
     """Yield a read-only view of `buf` once per word of the tree rooted there.
 
     The view aliases the internal buffer and is only valid until the generator
@@ -54,6 +58,7 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None,
     n = len(buf)
     view = memoryview(buf).toreadonly()
     ctr = counter
+    lex = order is Order.LEX
 
     first = buf.find(b"1")
     second = buf.find(b"1", first + 1) + 1
@@ -69,11 +74,10 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None,
     push = stack.append
     pop = stack.pop
 
-    def descend():
+    while True:
         # Bubble down to the leftmost leaf, deriving each child's min_flip
         # in O(1) from the parent's.  The leaf ends with a 1, so its
         # min_flip lands on the n+1 sentinel automatically.
-        nonlocal r, phi, second
         while r < n:
             push((_LEFT, r, phi, second))
             phi = _phi_of_bubble(phi, r, ones, second, n)
@@ -84,82 +88,56 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None,
             r += 1
             if ctr:
                 ctr.add(3)
-            if check_fast_phi:
-                expected, _ = _phi_scan(buf, r, n)
-                if phi != expected:
-                    raise AssertionError(
-                        f"fast min_flip {phi} != rescanned {expected} at {bytes(buf)!r}"
-                    )
-
-    descend()
-
-    if order is Order.LEX:
+        # The current node's left subtree is done.
         while True:
-            yield view
+            if lex:
+                yield view
             if phi <= n:
-                push((_RIGHT, r, phi, second))
-                buf[phi - 1] = _ONE
-                r = phi
-                ones += 1
-                if ctr:
-                    ctr.add(1)
-                phi, reads = _phi_scan(buf, r, n)
-                if ctr:
-                    ctr.add(reads)
-                descend()
-            else:
-                while True:
-                    if not stack:
-                        return
-                    tag, pr, pphi, psecond = pop()
-                    if tag == _LEFT:
-                        buf[r - 1] = _ZERO
-                        buf[r - 2] = _ONE
-                        r, phi, second = pr, pphi, psecond
-                        if ctr:
-                            ctr.add(2)
-                        break
-                    buf[r - 1] = _ZERO
-                    ones -= 1
-                    r, phi, second = pr, pphi, psecond
+                break
+            # No right child: the node is finished, and so is every ancestor
+            # reached by undoing flips, until an undone bubble lands on a
+            # parent whose left subtree is done.
+            while True:
+                if not lex:
+                    yield view
+                if not stack:
+                    return
+                tag, r_up, phi, second = pop()
+                buf[r - 1] = _ZERO
+                if tag == _LEFT:
+                    buf[r - 2] = _ONE
+                    r = r_up
                     if ctr:
-                        ctr.add(1)
-    else:
-        while True:
-            yield view
-            if not stack:
-                return
-            tag, pr, pphi, psecond = pop()
-            if tag == _RIGHT:
-                buf[r - 1] = _ZERO
+                        ctr.add(2)
+                    break
                 ones -= 1
-                r, phi, second = pr, pphi, psecond
+                r = r_up
                 if ctr:
                     ctr.add(1)
-            elif pphi > n:
-                buf[r - 1] = _ZERO
-                buf[r - 2] = _ONE
-                r, phi, second = pr, pphi, psecond
-                if ctr:
-                    ctr.add(2)
-            else:
-                # Left subtree done and the parent has a right child: step up,
-                # then into the right subtree and down to its leftmost leaf.
-                buf[r - 1] = _ZERO
-                buf[r - 2] = _ONE
-                r, second = pr, psecond
-                if ctr:
-                    ctr.add(2)
-                push((_RIGHT, r, pphi, second))
-                buf[pphi - 1] = _ONE
-                r = pphi
-                ones += 1
-                if ctr:
-                    ctr.add(1)
-                phi, reads = _phi_scan(buf, r, n)
-                if ctr:
-                    ctr.add(reads)
-                descend()
+        # Flip right, then bubble down from the new node.
+        push((_RIGHT, r, phi, second))
+        buf[phi - 1] = _ONE
+        r = phi
+        ones += 1
+        if ctr:
+            ctr.add(1)
+        phi, reads = _phi_scan(buf, r, n)
+        if ctr:
+            ctr.add(reads)
+
+
+def _views(n: int, order: Order, counter: OpCounter | None = None):
+    """The walk behind every listing of length n: the all-zero word, the
+    single-1 word, then the tree rooted at 110^(n-2)."""
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
+    for word in (b"0" * n, b"1" + b"0" * (n - 1)) if n else (b"",):
+        # Words of length <= 1 are emitted without counted work.
+        if counter and n > 1:
+            counter.add(n)
+        yield memoryview(bytearray(word)).toreadonly()
+    if n > 1:
+        yield from _walk(bytearray(b"11" + b"0" * (n - 2)), order, counter)
 
 
 def _checked_seed(seed: str) -> bytearray:
@@ -171,9 +149,16 @@ def _checked_seed(seed: str) -> bytearray:
     return bytearray(seed, "ascii")
 
 
+def _visit_each(views, visit) -> int:
+    count = 0
+    for view in views:
+        visit(view)
+        count += 1
+    return count
+
+
 def generate_pn(seed: str, visit, order: Order = Order.LEX, *,
-                counter: OpCounter | None = None,
-                check_fast_phi: bool = False) -> int:
+                counter: OpCounter | None = None) -> int:
     """Visit every prefix normal word that agrees with `seed` before its
     rightmost 1 and has at least one 1 from that position on.
 
@@ -182,12 +167,7 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX, *,
     itself.  The visitor receives a read-only view of an internal buffer,
     valid only for the duration of the call.  Returns the visit count.
     """
-    buf = _checked_seed(seed)
-    count = 0
-    for view in _walk(buf, order, counter, check_fast_phi):
-        visit(view)
-        count += 1
-    return count
+    return _visit_each(_walk(_checked_seed(seed), order, counter), visit)
 
 
 def iter_pn(seed: str, order: Order = Order.LEX, *, copy: bool = True):
@@ -196,19 +176,12 @@ def iter_pn(seed: str, order: Order = Order.LEX, *, copy: bool = True):
     Yields str copies by default; with copy=False the same read-only buffer
     view is yielded each time and is invalidated by advancing the iterator.
     """
-    buf = _checked_seed(seed)
-    for view in _walk(buf, order):
+    for view in _walk(_checked_seed(seed), order):
         yield bytes(view).decode("ascii") if copy else view
 
 
-def _prelude(n: int):
-    yield memoryview(bytearray(b"0" * n)).toreadonly()
-    yield memoryview(bytearray(b"1" + b"0" * (n - 1))).toreadonly()
-
-
 def generate_all(n: int, visit, order: Order = Order.LEX, *,
-                 counter: OpCounter | None = None,
-                 check_fast_phi: bool = False) -> int:
+                 counter: OpCounter | None = None) -> int:
     """Visit every prefix normal word of length n; returns how many there are.
 
     The all-zero word and the single-1 word come first, then the tree rooted
@@ -216,47 +189,17 @@ def generate_all(n: int, visit, order: Order = Order.LEX, *,
     GRAY output has all consecutive Hamming distances <= 3 and closes the
     cycle at distance 2 from the last word back to the first.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    if n == 0:
-        visit(memoryview(bytearray(b"")).toreadonly())
-        return 1
-    if n == 1:
-        for b in (b"0", b"1"):
-            visit(memoryview(bytearray(b)).toreadonly())
-        return 2
-    count = 0
-    for view in _prelude(n):
-        if counter:
-            counter.add(n)
-        visit(view)
-        count += 1
-    root = "11" + "0" * (n - 2)
-    count += generate_pn(root, visit, order, counter=counter,
-                         check_fast_phi=check_fast_phi)
-    return count
+    return _visit_each(_views(n, order, counter), visit)
 
 
 def iter_all(n: int, order: Order = Order.LEX, *, copy: bool = True):
     """Pull-iterator version of generate_all (same copy semantics as iter_pn)."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    if n <= 1:
-        for b in ((b"",) if n == 0 else (b"0", b"1")):
-            view = memoryview(bytearray(b)).toreadonly()
-            yield bytes(view).decode("ascii") if copy else view
-        return
-    for view in _prelude(n):
+    for view in _views(n, order):
         yield bytes(view).decode("ascii") if copy else view
-    yield from iter_pn("11" + "0" * (n - 2), order, copy=copy)
 
 
 def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     """Number of prefix normal words of length n (refuses n above `cap`)."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap ({cap})")
-    if n <= 1:
-        return n + 1
-    return 2 + sum(1 for _ in _walk(bytearray(b"11" + b"0" * (n - 2)), Order.LEX))
+    return sum(1 for _ in _views(n, Order.LEX))

@@ -57,6 +57,21 @@ def test_gen_cap_flag_and_env():
     res = run("gen", "-n", "10", "--count-only",
               env_extra={"PREFIXNORMAL_GEN_CAP": "12"})
     assert res.returncode == 0
+    res = run("gen", "-n", "3", env_extra={"PREFIXNORMAL_GEN_CAP": "ten"})
+    assert res.returncode == 2
+    assert "PREFIXNORMAL_GEN_CAP" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_gen_reader_closing_the_pipe_early():
+    proc = subprocess.Popen(CMD + ["gen", "-n", "20"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"0" * 20 + b"\n"
+    assert stderr == b""
 
 
 def test_critset_counts():
@@ -82,6 +97,9 @@ def test_table_csv_and_jobs_determinism():
     assert a.stdout.splitlines()[0] == "s\\t,0,1,2,3,4"
     c = run("table", "-n", "10", "--s-max", "3", "--t-max", "4", "--jobs", "2")
     assert c.stdout == a.stdout
+    res = run("table", "-n", "10", "--jobs", "0")
+    assert res.returncode == 2
+    assert "jobs" in res.stderr and res.stdout == ""
 
 
 def test_table_json():
@@ -157,6 +175,12 @@ def test_extend_detect():
     assert payload["preperiod"] == ""
 
 
+def test_extend_negative_steps():
+    res = run("extend", "101", "--steps", "-3")
+    assert res.returncode == 2
+    assert "--steps" in res.stderr and res.stdout == ""
+
+
 def test_extend_bad_seed():
     assert run("extend", "10", "--steps", "1").returncode == 2
     assert run("extend", "11001101", "--detect").returncode == 2
@@ -183,6 +207,10 @@ def test_oracle_cap():
     assert res.returncode == 2
     res = run("oracle", "-n", "6", env_extra={"PREFIXNORMAL_ORACLE_CAP": "5"})
     assert res.returncode == 2
+    assert res.stderr == "error: n=6 exceeds the oracle cap (5)\n"
+    res = run("oracle", "-n", "6", env_extra={"PREFIXNORMAL_ORACLE_CAP": "5.5"})
+    assert res.returncode == 2
+    assert "PREFIXNORMAL_ORACLE_CAP" in res.stderr
 
 
 def test_gen_deterministic_bytes():

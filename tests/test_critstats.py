@@ -139,6 +139,19 @@ def test_histogram_sums_and_consistency():
             assert diag == cnt, (n, length)
 
 
+def test_histogram_equals_per_word_tally():
+    # The histogram is a fold of class sizes; tally each word directly so
+    # the fold is checked against something other than itself.
+    for n in range(1, 15):
+        tally: dict[int, int] = {}
+        for w in oracle_enumerate(n):
+            cp = critical_prefix(w)
+            tally[cp.s + cp.t] = tally.get(cp.s + cp.t, 0) + 1
+        hist = critical_prefix_histogram(n)
+        assert hist.bins == tally, n
+        assert hist.total == len(oracle_enumerate(n))
+
+
 def test_histogram_json():
     payload = json.loads(critical_prefix_histogram(3).to_json())
     assert payload == {

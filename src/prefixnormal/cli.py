@@ -14,8 +14,8 @@ import json
 import os
 import sys
 
-from .critstats import critical_prefix_histogram, critset, critset_table
-from .generate import DEFAULT_GEN_CAP, Order, generate_all
+from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
+from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all
 from .infinite import (
     ScanCapExceeded,
     density_profile,
@@ -67,16 +67,37 @@ def _order(args) -> Order:
     return Order.LEX if args.order == "lex" else Order.GRAY
 
 
-def _emit_words(words: list[str], fmt: str, out) -> None:
-    if fmt == "plain":
-        for w in words:
-            out.write(w + "\n")
-    elif fmt == "csv":
-        out.write("word\n")
-        for w in words:
-            out.write(w + "\n")
+def _emit_words(args, walk, count) -> None:
+    """Print `count()`, or stream the words that `walk(visit)` visits one at
+    a time in `args.format`.
+
+    JSON's "count" field, from `count()`, precedes the words.  Both callables
+    reject bad arguments before their first word, and a header is written
+    with the first word, so a rejected query writes nothing.
+    """
+    if args.count_only:
+        print(count())
+        return
+    write = sys.stdout.write
+    if args.format == "plain":
+        walk(lambda view: write(bytes(view).decode("ascii") + "\n"))
+        return
+    # Written before the first word, between words, around each word, last.
+    if args.format == "csv":
+        head, sep, left, right, end = "word\n", "", "", "\n", ""
     else:
-        out.write(json.dumps({"count": len(words), "words": words}) + "\n")
+        # The layout of json.dumps({"count": ..., "words": [...]}).
+        head, sep, left, right, end = f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n"
+    lead = head
+
+    def visit(view) -> None:
+        nonlocal lead
+        write(lead + left + bytes(view).decode("ascii") + right)
+        lead = sep
+
+    if not walk(visit):
+        write(head)
+    write(end)
 
 
 def _emit_report(report, fmt: str) -> None:
@@ -84,31 +105,14 @@ def _emit_report(report, fmt: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.count_only:
-        total = generate_all(args.n, lambda view: None, _order(args))
-        print(total)
-        return 0
-    out = sys.stdout
-    if args.format == "plain":
-        generate_all(args.n, lambda view: out.write(bytes(view).decode("ascii") + "\n"),
-                     _order(args))
-    else:
-        words: list[str] = []
-        generate_all(args.n, lambda view: words.append(bytes(view).decode("ascii")),
-                     _order(args))
-        _emit_words(words, args.format, out)
+    _emit_words(args, lambda visit: generate_all(args.n, visit, _order(args)),
+                lambda: count_pn(args.n, cap=args.cap))
     return 0
 
 
 def cmd_critset(args) -> int:
-    if args.count_only:
-        count = critset(args.n, args.s, args.t, lambda view: None, _order(args))
-        print(count)
-        return 0
-    words: list[str] = []
-    critset(args.n, args.s, args.t, lambda view: words.append(bytes(view).decode("ascii")),
-            _order(args))
-    _emit_words(words, args.format, sys.stdout)
+    _emit_words(args, lambda visit: critset(args.n, args.s, args.t, visit, _order(args)),
+                lambda: critset_count(args.n, args.s, args.t))
     return 0
 
 

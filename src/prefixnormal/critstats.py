@@ -2,10 +2,11 @@
 
 The words of length n whose critical prefix is exactly 1^s 0^t form one seed
 word plus one flip-subtree of the generation tree, so they can be listed
-without touching the rest of the language.  These classes partition every
-nonzero word, so class sizes are the only counting path: the (s, t) table
-lists them, and the histogram of critical prefix lengths folds them along
-the diagonals s + t, with the all-zero word added to bin n.
+without touching the rest of the language, and counted by the generator's
+counting walk without building a single word.  These classes partition
+every nonzero word, so class sizes are the only counting path: the (s, t)
+table lists them, and the histogram of critical prefix lengths folds them
+along the diagonals s + t, with the all-zero word added to bin n.
 """
 
 from __future__ import annotations
@@ -14,9 +15,37 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .generate import DEFAULT_GEN_CAP, Order, generate_pn
+from .generate import DEFAULT_GEN_CAP, Order, _count, generate_pn
 from .ops import flip, min_flip
 from .words import is_prefix_normal
+
+
+def _class_root(n: int, s: int, t: int) -> tuple[str | None, str | None]:
+    """The class 1^s 0^t as (seed, root): its one word outside the tree, and
+    the seed's flip child, whose flip-subtree holds every other word.
+
+    seed is None for an empty class and root is None when the seed has no
+    flip child.  Raises ValueError for a query that denotes no class.
+    """
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
+    if s < 1:
+        raise ValueError("s must be >= 1; only the all-zero word has s == 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if s + t > n:
+        return None, None
+    if s + t == n:
+        return "1" * s + "0" * t, None
+    if t == 0:
+        # With symbols left over, the next one would be a 1 and the leading
+        # 1-run would be longer than s.
+        return None, None
+    seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
+    if not is_prefix_normal(seed):
+        raise RuntimeError(f"internal invariant broken: {seed} should be prefix normal")
+    phi = min_flip(seed, validate=False)
+    return seed, flip(seed, phi) if phi <= n else None
 
 
 def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
@@ -26,42 +55,26 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     never part of any class here).  Queries with s + t > n are legal and
     denote the empty set.  Returns the number of words visited.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    if s < 1:
-        raise ValueError("s must be >= 1; only the all-zero word has s == 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if s + t > n:
+    seed, root = _class_root(n, s, t)
+    if seed is None:
         return 0
-    if s + t == n:
-        visit(memoryview(bytearray(b"1" * s + b"0" * t)).toreadonly())
-        return 1
-    if t == 0:
-        # With symbols left over, the next one would be a 1 and the leading
-        # 1-run would be longer than s.
-        return 0
-    seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
-    if not is_prefix_normal(seed):
-        raise RuntimeError(f"internal invariant broken: {seed} should be prefix normal")
-    phi = min_flip(seed, validate=False)
-    count = 1
+    view = memoryview(bytearray(seed, "ascii")).toreadonly()
     if order is Order.LEX:
-        visit(memoryview(bytearray(seed, "ascii")).toreadonly())
-        if phi <= n:
-            count += generate_pn(flip(seed, phi), visit, order)
-    else:
-        # Post-order over the virtual subtree: the flip subtree ends on its
-        # own root, one flipped position away from the seed word.
-        if phi <= n:
-            count += generate_pn(flip(seed, phi), visit, order)
-        visit(memoryview(bytearray(seed, "ascii")).toreadonly())
+        visit(view)
+    # In post-order the flip subtree ends on its own root, one flipped
+    # position away from the seed word, which comes last.
+    count = 1 + (generate_pn(root, visit, order) if root else 0)
+    if order is Order.GRAY:
+        visit(view)
     return count
 
 
 def critset_count(n: int, s: int, t: int) -> int:
     """Size of the class with critical prefix 1^s 0^t among length-n words."""
-    return critset(n, s, t, lambda view: None)
+    seed, root = _class_root(n, s, t)
+    if seed is None:
+        return 0
+    return 1 + (_count(bytearray(root, "ascii")) if root else 0)
 
 
 @dataclass(frozen=True)

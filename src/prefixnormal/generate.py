@@ -13,9 +13,14 @@ where a node is yielded: between its two subtrees (LEX) or after both
 (GRAY).  One mutable byte buffer holds the current word, an explicit stack
 of undo records tracks the path to the root, and the min_flip value is
 carried along -- recomputed by a linear scan after each flip edge, but
-derived in O(1) along bubble runs.  Every entry point is a thin shell over
+derived in O(1) along bubble runs.  Every listing is a thin shell over
 that walk; the full listings put 0^n and 10^(n-1) in front of the tree
 rooted at 110^(n-2).
+
+Only listings yield words.  Counts come from a second, smaller walk that
+adds a whole bubble run of n - r + 1 words in one step and descends only
+into the flip children, which sit on a prefix of the run because min_flip
+never decreases along it.
 """
 
 from __future__ import annotations
@@ -126,6 +131,46 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
             ctr.add(reads)
 
 
+def _count(buf: bytearray) -> int:
+    """Number of words in the tree rooted at `buf`, without yielding any.
+
+    Same precondition as _walk; the buffer holds the root again on return.
+    """
+    second = buf.find(b"1", buf.find(b"1") + 1) + 1
+    return _count_run(buf, buf.rfind(b"1") + 1, buf.count(_ONE), second, len(buf))
+
+
+def _count_run(buf: bytearray, r: int, ones: int, second: int, n: int) -> int:
+    """Words in the subtree of the node in `buf`, whose rightmost 1 is at r,
+    counted a bubble run at a time.
+
+    The run from r holds n - r + 1 nodes.  min_flip never decreases along it,
+    so the nodes with a flip child form a prefix of the run: only that prefix
+    is walked, and each flip child is counted by recursion (depth at most the
+    number of 1s).  A flip child at n is a single leaf, counted unscanned.
+    """
+    phi = _phi_scan(buf, r, n)[0]
+    total = n - r + 1
+    start = r
+    while phi <= n:
+        if phi == n:
+            total += 1
+        else:
+            buf[phi - 1] = _ONE
+            total += _count_run(buf, phi, ones + 1, second, n)
+            buf[phi - 1] = _ZERO
+        # phi > r, so the node is not a leaf and can bubble.
+        phi = _phi_of_bubble(phi, r, ones, second, n)
+        if ones == 2:
+            second = r + 1
+        buf[r - 1] = _ZERO
+        buf[r] = _ONE
+        r += 1
+    buf[r - 1] = _ZERO
+    buf[start - 1] = _ONE
+    return total
+
+
 def _views(n: int, order: Order, counter: OpCounter | None = None):
     """The walk behind every listing of length n: the all-zero word, the
     single-1 word, then the tree rooted at 110^(n-2)."""
@@ -202,4 +247,9 @@ def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     """Number of prefix normal words of length n (refuses n above `cap`)."""
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap ({cap})")
-    return sum(1 for _ in _views(n, Order.LEX))
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
+    if n < 2:
+        return n + 1
+    # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).
+    return 2 + _count(bytearray(b"11" + b"0" * (n - 2)))

@@ -3,7 +3,8 @@
 `min_flip` is the workhorse: for a prefix normal word it finds the smallest
 position past the rightmost 1 where a 1 can be written without breaking
 prefix normality (the sentinel n+1 means "nowhere").  The scan runs in
-O(r) symbol reads, r being the position of the rightmost 1.
+O(r) symbol reads in the worst case, r being the position of the rightmost
+1, and stops as soon as the answer is known to be the sentinel.
 """
 
 from __future__ import annotations
@@ -39,8 +40,13 @@ def _phi_scan(buf, r: int, n: int) -> tuple[int, int]:
     1 may go.  While skipping such a run, g is left un-updated; this is sound
     only because the word is prefix normal: a suffix already holding the
     maximum allowed number of 1s can only be extended leftward by 0s while the
-    prefix side stays flat.  Returns (position, symbol reads).
+    prefix side stays flat.  The answer is min(r + longest + 1, n + 1) for
+    the longest such run, so the scan stops once a run reaches n - r: the
+    sentinel is then certain.  With r == n nothing is read.  O(r) reads in the
+    worst case.  Returns (position, symbol reads).
     """
+    if r == n:
+        return n + 1, 0
     f = g = 0
     i = 1
     longest = 0
@@ -59,6 +65,8 @@ def _phi_scan(buf, r: int, n: int) -> tuple[int, int]:
                 run += 1
                 i += 1
             if run > longest:
+                if run >= n - r:
+                    return n + 1, reads
                 longest = run
         else:
             i += 1

@@ -4,6 +4,8 @@ Everything here is independent of the package's optimized code paths; the
 tests use these as cross-checks.
 """
 
+import json
+
 from prefixnormal import bubble, flip, is_prefix_normal, min_flip, oracle_enumerate
 
 
@@ -91,3 +93,39 @@ def seeds_ending_in_one(max_len: int) -> list[str]:
         for w in oracle_enumerate(n)
         if w.endswith("1")
     ]
+
+
+def reference_phi_scan(buf, r: int, n: int) -> tuple[int, int]:
+    """The min_flip scan without its early exit: it always walks the whole
+    prefix before r.  Returns (position, symbol reads)."""
+    f = g = 0
+    i = 1
+    longest = 0
+    reads = 0
+    while i < r:
+        f += buf[i - 1] & 1
+        g += buf[r - i] & 1
+        reads += 2
+        if f == g:
+            run = 0
+            i += 1
+            while i < r:
+                reads += 1
+                if buf[i - 1] & 1:
+                    break
+                run += 1
+                i += 1
+            if run > longest:
+                longest = run
+        else:
+            i += 1
+    return min(r + longest + 1, n + 1), reads
+
+
+def reference_emit_words(words: list[str], fmt: str) -> str:
+    """The CLI's word output in `fmt`, built from the complete list of words."""
+    if fmt == "plain":
+        return "".join(w + "\n" for w in words)
+    if fmt == "csv":
+        return "word\n" + "".join(w + "\n" for w in words)
+    return json.dumps({"count": len(words), "words": words}) + "\n"

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
-from prefixnormal import hamming
+import pytest
+
+from prefixnormal import Order, cli, critset, hamming, iter_all
+
+from helpers import reference_emit_words
 
 CMD = [sys.executable, "-m", "prefixnormal"]
 
@@ -15,6 +22,22 @@ def run(*args, env_extra=None):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, env=env
     )
+
+
+def run_in_process(*args):
+    """(exit code, stdout) of the CLI called in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in args])
+    return code, out.getvalue()
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def test_gen_lex_small():
@@ -45,6 +68,61 @@ def test_gen_formats():
     payload = json.loads(res.stdout)
     assert payload["count"] == 5
     assert payload["words"][0] == "000"
+
+
+def _critset_words(n, s, t, order):
+    """The class as a list, or None when critset rejects the query."""
+    words = []
+    try:
+        critset(n, s, t, lambda view: words.append(bytes(view).decode("ascii")), order)
+    except ValueError:
+        return None
+    return words
+
+
+def _expected(words, mode):
+    if words is None:
+        return 2, ""
+    if mode == ("--count-only",):
+        return 0, f"{len(words)}\n"
+    return 0, reference_emit_words(words, mode[1])
+
+
+def test_gen_and_critset_output_equals_the_complete_list():
+    # Streamed output equals what the full list of words gives, byte for
+    # byte, in every format and both orders, and a rejected query writes
+    # nothing to stdout.
+    modes = [("--format", fmt) for fmt in ("plain", "csv", "json")] + [("--count-only",)]
+    for order in Order:
+        queries = [(("gen", "-n", n), list(iter_all(n, order)) if n >= 0 else None)
+                   for n in range(-1, 13)]
+        queries += [(("critset", "-n", n, "-s", s, "-t", t), _critset_words(n, s, t, order))
+                    for n in range(11) for s in range(n + 2) for t in range(-1, n - s + 2)]
+        for query, words in queries:
+            for mode in modes:
+                got = run_in_process(*query, "--order", order.value, *mode)
+                assert got == _expected(words, mode), (query, order, mode)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "-n", 18, "--format", "json"),
+    ("gen", "-n", 18, "--format", "csv"),
+    ("critset", "-n", 18, "-s", 2, "-t", 1, "--format", "plain"),
+    ("critset", "-n", 18, "-s", 2, "-t", 1, "--format", "json"),
+])
+def test_word_output_streams_in_bounded_memory(argv):
+    # 25,500 words from gen and 3,557 from the class, written one at a time:
+    # the peak of traced allocations stays far below what a list of the
+    # words would take.
+    with contextlib.redirect_stdout(_Discard()):
+        tracemalloc.start()
+        try:
+            code = cli.main([str(a) for a in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 200_000, peak
 
 
 def test_gen_cap_flag_and_env():

@@ -52,6 +52,16 @@ def test_spot_count():
     assert critset_count(32, 7, 22) == 4
 
 
+def test_count_equals_visit_count_in_both_orders():
+    # The counting walk against the listing it replaces for counts.
+    for n in range(1, 17):
+        for s in range(1, n + 1):
+            for t in range(0, n - s + 1):
+                count = critset_count(n, s, t)
+                for order in Order:
+                    assert critset(n, s, t, lambda view: None, order) == count, (n, s, t)
+
+
 def test_matches_oracle_filter():
     for n in range(2, 15):
         for s in range(1, n + 1):

@@ -14,7 +14,7 @@ from prefixnormal import (
 )
 from prefixnormal.ops import _phi_scan
 
-from helpers import oracle_min_flip
+from helpers import oracle_min_flip, reference_phi_scan
 
 words = st.text(alphabet="01", min_size=1, max_size=24)
 
@@ -84,6 +84,19 @@ def test_min_flip_scan_reads_linear_in_r():
                 r = w.rfind("1") + 1
                 _, reads = _phi_scan(w.encode("ascii"), r, n)
                 assert reads <= 3 * r
+
+
+def test_phi_scan_early_exit_matches_full_scan():
+    # Stopping once the answer is the sentinel changes no position and never
+    # reads more than the scan over the whole prefix.
+    for n in range(1, 17):
+        for w in oracle_enumerate(n):
+            if "1" in w:
+                buf = w.encode("ascii")
+                r = w.rfind("1") + 1
+                phi, reads = _phi_scan(buf, r, n)
+                ref_phi, ref_reads = reference_phi_scan(buf, r, n)
+                assert phi == ref_phi and reads <= ref_reads, w
 
 
 def test_flips_at_or_past_min_flip_stay_pn():

@@ -27,7 +27,6 @@ from .generate import (
     iter_pn,
 )
 from .infinite import (
-    BlockFactorization,
     DensityProfile,
     ExtensionReport,
     ScanCapExceeded,
@@ -35,18 +34,10 @@ from .infinite import (
     detect_period,
     extend_min,
     extend_stream,
-    split_blocks,
     stream_prefix,
     verify_densest,
 )
-from .ops import (
-    bubble,
-    flip,
-    flip_keeps_pn,
-    min_flip,
-    min_flip_after_bubble,
-    suffixes_satisfy_pn,
-)
+from .ops import bubble, flip, min_flip
 from .words import (
     DEFAULT_ORACLE_CAP,
     CritPrefix,
@@ -63,7 +54,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockFactorization",
     "CountsTable",
     "CritPrefix",
     "DEFAULT_GEN_CAP",
@@ -87,7 +77,6 @@ __all__ = [
     "extend_min",
     "extend_stream",
     "flip",
-    "flip_keeps_pn",
     "generate_all",
     "generate_pn",
     "hamming",
@@ -96,12 +85,9 @@ __all__ = [
     "iter_pn",
     "last_one",
     "min_flip",
-    "min_flip_after_bubble",
     "oracle_enumerate",
     "prefix_counts",
     "rank1",
-    "split_blocks",
     "stream_prefix",
-    "suffixes_satisfy_pn",
     "verify_densest",
 ]

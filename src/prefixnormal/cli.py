@@ -16,12 +16,7 @@ import sys
 
 from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
 from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all
-from .infinite import (
-    ScanCapExceeded,
-    density_profile,
-    detect_period,
-    extend_min,
-)
+from .infinite import ScanCapExceeded, density_profile, detect_period, extend_stream
 from .ops import min_flip
 from .words import (
     DEFAULT_ORACLE_CAP,
@@ -153,10 +148,17 @@ def cmd_extend(args) -> int:
         report = detect_period(w, scan_cap=args.scan_cap)
         print(report.to_json())
         return 0
-    cur = w
-    for _ in range(args.steps):
-        cur = extend_min(cur)
-    print(cur)
+    out = w
+    if args.steps:
+        # The stream up to and including its (ones(w) + steps)-th 1.
+        left, symbols = w.count("1") + args.steps, []
+        for ch in extend_stream(w):
+            symbols.append(ch)
+            left -= ch == "1"
+            if not left:
+                break
+        out = "".join(symbols)
+    print(out)
     return 0
 
 
@@ -201,17 +203,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, cap_kind=cap_kind)
         return p
 
-    p = sized("gen", "list all prefix normal words of a given length", cmd_gen)
-    p.add_argument("--order", choices=["lex", "gray"], default="lex")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
+    def listing(p):
+        # The options of a command whose output goes through _emit_words.
+        p.add_argument("--order", choices=["lex", "gray"], default="lex")
+        p.add_argument("--count-only", action="store_true")
+        p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
+
+    listing(sized("gen", "list all prefix normal words of a given length", cmd_gen))
 
     p = sized("critset", "list the words with critical prefix 1^s 0^t", cmd_critset)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("-t", type=int, required=True)
-    p.add_argument("--order", choices=["lex", "gray"], default="lex")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
+    listing(p)
 
     p = sized("table", "matrix of critical-prefix class sizes", cmd_table)
     p.add_argument("--s-max", type=int, default=7)

@@ -12,7 +12,6 @@ along the diagonals s + t, with the all-zero word added to bin n.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .generate import DEFAULT_GEN_CAP, Order, _count, generate_pn
@@ -127,6 +126,10 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTab
     t_values = tuple(range(0, t_max + 1))
     keys = [(s, t) for s in s_values for t in t_values]
     if jobs > 1:
+        # Imported here: it loads multiprocessing, threading and logging, which
+        # nothing else in the package needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             counts = list(pool.map(_cell, [(n, s, t) for s, t in keys], chunksize=8))
         cells = dict(zip(keys, counts))

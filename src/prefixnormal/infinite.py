@@ -2,9 +2,14 @@
 
 Repeatedly appending the shortest run of 0s followed by a 1 (the densest
 extension that stays prefix normal) turns a finite word into an infinite one
-that is ultimately periodic.  The period's length and number of 1s are fixed
-in advance by the seed's minimum-density prefix, which lets `detect_period`
-certify the period after a bounded scan instead of guessing.
+that is ultimately periodic.  `extend_min` finds each 0-run by trying every
+candidate with the quadratic test; it is the reference.  `extend_stream`
+computes it in closed form from the positions of the 1s among the last
+len(seed) - 1 symbols and the positions of the seed's 1s, at a cost of
+O(number of 1s in that window) per step.  The period's length and number of
+1s are fixed in advance by the seed's minimum-density prefix, which lets
+`detect_period` certify the period after a bounded scan of the stream
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from operator import add
 
 from .words import (
     DEFAULT_ORACLE_CAP,
@@ -79,71 +85,41 @@ def extend_min(w: str) -> str:
     raise AssertionError("unreachable: appending len(w) zeros and a 1 always works")
 
 
-def extend_stream(w: str, *, debug: bool = False):
+def extend_stream(w: str):
     """Lazily yield the symbols of the infinite minimal extension of w.
 
     The prefix of any requested length matches the corresponding finite
-    iterate of extend_min.  Per appended symbol only the trailing len(w)
-    symbols are consulted: a suffix window of that length decides whether the
-    next 1 is legal.  debug=True cross-checks every placement against the
-    quadratic test.
+    iterate of extend_min.  Each 0-run has a closed form.  Let d_1 < d_2 < ...
+    be the distances from the end (the last symbol at distance 1) of the 1s
+    among the last len(w) - 1 symbols, and P_c the position of the c-th 1 of
+    w.  The next 1 comes after max(0, max_i P_{i+1} - d_i - 1) zeros: a
+    suffix holding i of these 1s is shortest when it ends at the i-th, and
+    appending a 1 there must not beat the prefix of the same length.  P_{i+1}
+    always exists: the word stays prefix normal, so the window holds at most
+    as many 1s as w's first len(w) - 1 symbols.  Only the positions of the 1s
+    in the window are kept, so a step costs O(number of those 1s).
     """
     _check_seed(w)
     size = len(w)
-    p = prefix_counts(w)
     yield from w
-    tail = deque(w, maxlen=size)
+    ones = [i for i, ch in enumerate(w, 1) if ch == "1"]
+    nxt = ones[1:]  # nxt[i] = P_{i+2}, paired with the (i+1)-th most recent 1
+    end = size
+    recent = deque(ones[1:])  # positions of the 1s in the window
     while True:
-        last = list(tail)
-        so = [0] * size  # so[j]: 1s among the last j symbols of the current word
-        for j in range(1, size):
-            so[j] = so[j - 1] + (last[size - j] == "1")
-        k = 0
-        while True:
-            ok = True
-            for t in range(k + 2, size + 1):
-                if 1 + so[t - 1 - k] > p[t]:
-                    ok = False
-                    break
-            if ok:
-                break
-            k += 1
-        if debug:
-            cand = "".join(last) + "0" * k + "1"
-            if not is_prefix_normal(cand):
-                raise AssertionError(f"illegal placement after {k} zeros past {''.join(last)}")
-            if k and is_prefix_normal("".join(last) + "0" * (k - 1) + "1"):
-                raise AssertionError(f"placement after {k} zeros is not minimal")
-        for _ in range(k):
-            tail.append("0")
-            yield "0"
-        tail.append("1")
+        # P_{i+1} - d_i - 1 with d_i = end - pos + 1
+        k = max(0, max(map(add, nxt, reversed(recent)), default=0) - end - 2)
+        yield from "0" * k
         yield "1"
+        end += k + 1
+        recent.append(end)
+        while recent and recent[0] < end - size + 2:
+            recent.popleft()
 
 
-def stream_prefix(w: str, length: int, **kwargs) -> str:
+def stream_prefix(w: str, length: int) -> str:
     """The first `length` symbols of the infinite minimal extension of w."""
-    return "".join(islice(extend_stream(w, **kwargs), length))
-
-
-@dataclass(frozen=True)
-class BlockFactorization:
-    """A word cut into fixed-size blocks plus a shorter tail."""
-
-    blocks: tuple[str, ...]
-    tail: str
-
-
-def split_blocks(w: str, size: int) -> BlockFactorization:
-    """Cut w into consecutive blocks of exactly `size` symbols."""
-    check_word(w)
-    if size < 1:
-        raise ValueError("block size must be >= 1")
-    nb = len(w) // size
-    return BlockFactorization(
-        blocks=tuple(w[i * size : (i + 1) * size] for i in range(nb)),
-        tail=w[nb * size :],
-    )
+    return "".join(islice(extend_stream(w), length))
 
 
 class ScanCapExceeded(Exception):

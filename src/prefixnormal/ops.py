@@ -9,7 +9,7 @@ O(r) symbol reads in the worst case, r being the position of the rightmost
 
 from __future__ import annotations
 
-from .words import check_word, is_prefix_normal, prefix_counts
+from .words import check_word, is_prefix_normal
 
 
 def flip(w: str, j: int) -> str:
@@ -90,34 +90,6 @@ def min_flip(w: str, *, validate: bool = True) -> int:
     return phi
 
 
-def flip_keeps_pn(w: str, j: int, *, validate: bool = True) -> bool:
-    """Whether flipping position j (past the rightmost 1) leaves w prefix normal.
-
-    A flip at j fails exactly when some prefix of length k < r already has all
-    its 1s mirrored in the suffix ending at r and is followed by at least
-    j - r zeros; then the factor bridging the old and new 1 is too heavy.
-    """
-    check_word(w)
-    n = len(w)
-    r = w.rfind("1") + 1
-    if r == 0:
-        raise ValueError("an all-zero word has no flip candidates")
-    if not r < j <= n:
-        raise ValueError(f"position {j} must lie in ({r}, {n}]")
-    if validate and not is_prefix_normal(w):
-        raise ValueError("word is not prefix normal")
-    p = prefix_counts(w)
-    zrun = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        zrun[k] = 0 if w[k] == "1" else zrun[k + 1] + 1
-    need = j - r
-    ones_r = p[r]
-    for k in range(1, r):
-        if ones_r - p[r - k] == p[k] and zrun[k] >= need:
-            return False
-    return True
-
-
 def _phi_of_bubble(phi: int, r: int, ones: int, second: int, n: int) -> int:
     """Constant-time min_flip of the bubbled word from the parent's fields.
 
@@ -131,53 +103,3 @@ def _phi_of_bubble(phi: int, r: int, ones: int, second: int, n: int) -> int:
     if second <= phi - r:
         return phi
     return min(n + 1, phi + 1)
-
-
-def min_flip_after_bubble(w: str, phi_w: int, *, validate: bool = True) -> int:
-    """min_flip(bubble(w)) computed in constant time from phi_w = min_flip(w).
-
-    Requires a prefix normal w with at least two 1s whose rightmost 1 is not
-    at the last position.
-    """
-    check_word(w)
-    n = len(w)
-    ones = w.count("1")
-    if ones < 2:
-        raise ValueError("need at least two 1s")
-    r = w.rfind("1") + 1
-    if r == n:
-        raise ValueError("bubble is undefined when the rightmost 1 is at the last position")
-    if validate:
-        if not is_prefix_normal(w):
-            raise ValueError("word is not prefix normal")
-        expected = min_flip(w, validate=False)
-        if phi_w != expected:
-            raise ValueError(f"phi_w={phi_w} does not match min_flip(w)={expected}")
-    second = w.find("1", w.find("1") + 1) + 1
-    return _phi_of_bubble(phi_w, r, ones, second, n)
-
-
-def suffixes_satisfy_pn(v: str, limit: int, *, debug: bool = False) -> bool:
-    """Check the prefix normal condition for every suffix of v of length <= limit.
-
-    For words built by repeatedly appending the shortest 0-run plus a 1 to a
-    prefix normal seed, checking suffixes up to the seed's length is
-    equivalent to full prefix normality; the caller owns that hypothesis.
-    debug=True cross-checks against the quadratic test and raises on any
-    disagreement.
-    """
-    check_word(v)
-    n = len(v)
-    limit = min(limit, n)
-    p = prefix_counts(v)
-    ones = 0
-    result = True
-    for t in range(1, limit + 1):
-        if v[n - t] == "1":
-            ones += 1
-        if ones > p[t]:
-            result = False
-            break
-    if debug and result != is_prefix_normal(v):
-        raise AssertionError(f"suffix-window check diverged from the full test on {v!r}")
-    return result

@@ -5,8 +5,10 @@ tests use these as cross-checks.
 """
 
 import json
+from collections import deque
 
-from prefixnormal import bubble, flip, is_prefix_normal, min_flip, oracle_enumerate
+from prefixnormal import bubble, flip, is_prefix_normal, min_flip, oracle_enumerate, prefix_counts
+from prefixnormal.infinite import _check_seed
 
 
 def pn_def_set(w: str) -> set[str]:
@@ -129,3 +131,44 @@ def reference_emit_words(words: list[str], fmt: str) -> str:
     if fmt == "csv":
         return "word\n" + "".join(w + "\n" for w in words)
     return json.dumps({"count": len(words), "words": words}) + "\n"
+
+
+def reference_extend_stream(w: str):
+    """The extension stream that retries k = 0, 1, 2, ... zeros before each 1,
+    testing every suffix of the last len(w) symbols (rebuilt for each 1)
+    against the seed's prefix counts."""
+    _check_seed(w)
+    size = len(w)
+    p = prefix_counts(w)
+    yield from w
+    tail = deque(w, maxlen=size)
+    while True:
+        last = list(tail)
+        so = [0] * size  # so[j]: 1s among the last j symbols of the current word
+        for j in range(1, size):
+            so[j] = so[j - 1] + (last[size - j] == "1")
+        k = 0
+        while True:
+            ok = True
+            for t in range(k + 2, size + 1):
+                if 1 + so[t - 1 - k] > p[t]:
+                    ok = False
+                    break
+            if ok:
+                break
+            k += 1
+        for _ in range(k):
+            tail.append("0")
+            yield "0"
+        tail.append("1")
+        yield "1"
+
+
+def prefix_normal_form(w: str) -> str:
+    """The prefix normal word whose i-length prefix holds as many 1s as the
+    densest factor of w of length i.  It has w's length, and it ends in 1
+    exactly when w starts and ends in 1."""
+    p = prefix_counts(w)
+    n = len(w)
+    best = [0] + [max(p[i + k] - p[i] for i in range(n - k + 1)) for k in range(1, n + 1)]
+    return "".join("1" if best[k] > best[k - 1] else "0" for k in range(1, n + 1))

@@ -25,10 +25,10 @@ from prefixnormal import (
     iter_all,
     iter_pn,
     min_flip,
-    min_flip_after_bubble,
     oracle_enumerate,
     verify_densest,
 )
+from prefixnormal.ops import _phi_of_bubble
 
 TABLE_SMALL = {
     1: ["0", "1"],
@@ -116,7 +116,8 @@ def test_c04_bubble_shortcut_equals_rescan_up_to_16():
         for w in oracle_enumerate(n):
             if w.count("1") >= 2 and w.endswith("0"):
                 phi = min_flip(w, validate=False)
-                got = min_flip_after_bubble(w, phi, validate=False)
+                second = w.find("1", w.find("1") + 1) + 1
+                got = _phi_of_bubble(phi, w.rfind("1") + 1, w.count("1"), second, n)
                 ok = ok and got == min_flip(bubble(w), validate=False)
                 if not ok:
                     break

@@ -8,19 +8,19 @@ import tracemalloc
 
 import pytest
 
-from prefixnormal import Order, cli, critset, hamming, iter_all
+from prefixnormal import Order, cli, critset, extend_min, hamming, iter_all
 
-from helpers import reference_emit_words
+from helpers import reference_emit_words, reference_extend_stream, seeds_ending_in_one
 
 CMD = [sys.executable, "-m", "prefixnormal"]
 
 
-def run(*args, env_extra=None):
+def run(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env
+        CMD + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -238,6 +238,29 @@ def test_extend_steps():
     assert res.stdout == "10101\n"
     res = run("extend", "101", "--steps", "3")
     assert res.stdout == "101010101\n"
+
+
+def test_extend_steps_equal_iterated_extend_min():
+    for seed in seeds_ending_in_one(8):
+        cur = seed
+        for steps in range(12):
+            assert run_in_process("extend", seed, "--steps", steps) == (0, cur + "\n")
+            cur = extend_min(cur)
+
+
+def test_extend_many_steps_reads_the_stream():
+    # Iterating extend_min 2000 times would take hours; the stream cut takes
+    # milliseconds.
+    seed, steps = "1101001", 2000
+    res = run("extend", seed, "--steps", str(steps), timeout=60)
+    assert res.returncode == 0 and res.stderr == ""
+    want, left = [], seed.count("1") + steps
+    for ch in reference_extend_stream(seed):
+        want.append(ch)
+        left -= ch == "1"
+        if not left:
+            break
+    assert res.stdout == "".join(want) + "\n"
 
 
 def test_extend_detect():

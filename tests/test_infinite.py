@@ -1,13 +1,13 @@
 import json
+import random
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixnormal import (
-    BlockFactorization,
     ScanCapExceeded,
     density_profile,
     detect_period,
@@ -15,14 +15,21 @@ from prefixnormal import (
     extend_stream,
     is_prefix_normal,
     prefix_counts,
-    split_blocks,
     stream_prefix,
     verify_densest,
 )
 
-from helpers import seeds_ending_in_one
+from helpers import prefix_normal_form, reference_extend_stream, seeds_ending_in_one
 
 words = st.text(alphabet="01", min_size=1, max_size=24)
+
+# Prefix normal seeds ending in 1 of length 13..128: the prefix normal form of
+# a word that starts and ends in 1.
+long_seeds = (
+    st.integers(11, 126)
+    .flatmap(lambda k: st.text(alphabet="01", min_size=k, max_size=k))
+    .map(lambda mid: prefix_normal_form("1" + mid + "1"))
+)
 
 
 def stream_iterates(w, count):
@@ -98,7 +105,7 @@ def test_stream_prefix_fixtures():
 
 
 def test_stream_equals_iterated_extension():
-    # the suffix-window checker inside the stream must agree with the full
+    # the closed-form step inside the stream must agree with the full
     # quadratic search, step by step
     for seed in seeds_ending_in_one(12):
         cur = seed
@@ -107,8 +114,23 @@ def test_stream_equals_iterated_extension():
         assert stream_prefix(seed, len(cur)) == cur, seed
 
 
-def test_stream_debug_mode_is_silent():
-    list(islice(extend_stream("10101", debug=True), 80))
+def test_stream_equals_iterated_extension_on_long_seeds():
+    rng = random.Random(2017)
+    for size in (64, 96, 128):
+        seed = prefix_normal_form("1" + "".join(rng.choices("01", k=size - 2)) + "1")
+        cur = seed
+        for _ in range(40):
+            cur = extend_min(cur)
+        assert stream_prefix(seed, len(cur)) == cur, seed
+
+
+@settings(max_examples=150)
+@given(long_seeds)
+def test_stream_equals_reference_stream(seed):
+    assert len(seed) >= 13 and seed.endswith("1") and is_prefix_normal(seed)
+    count = 3 * len(seed) + 1
+    got = "".join(islice(extend_stream(seed), count))
+    assert got == "".join(islice(reference_extend_stream(seed), count))
 
 
 def test_stream_prefixes_stay_prefix_normal():
@@ -126,12 +148,11 @@ def test_stream_prefixes_stay_prefix_normal():
 def test_block_density_and_lex_non_increase():
     for seed in seeds_ending_in_one(8):
         p = density_profile(seed)
-        fact = split_blocks(stream_prefix(seed, 20 * p.length), p.length)
-        for block in fact.blocks:
+        v = stream_prefix(seed, 20 * p.length)
+        blocks = [v[i : i + p.length] for i in range(0, len(v), p.length)]
+        for block in blocks:
             assert block.count("1") == p.ones, seed
-        assert all(
-            a >= b for a, b in zip(fact.blocks, fact.blocks[1:])
-        ), seed
+        assert all(a >= b for a, b in zip(blocks, blocks[1:])), seed
 
 
 def _sampled_long_seeds():
@@ -149,14 +170,6 @@ def test_density_profile_invariant_under_extension():
         want = density_profile(seed)
         for it in stream_iterates(seed, 20):
             assert density_profile(it) == want, seed
-
-
-def test_split_blocks():
-    assert split_blocks("110100", 2) == BlockFactorization(("11", "01", "00"), "")
-    assert split_blocks("11010", 2) == BlockFactorization(("11", "01"), "0")
-    assert split_blocks("1", 3) == BlockFactorization((), "1")
-    with pytest.raises(ValueError):
-        split_blocks("101", 0)
 
 
 def test_detect_period_fixtures():

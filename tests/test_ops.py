@@ -2,17 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prefixnormal import (
-    bubble,
-    flip,
-    flip_keeps_pn,
-    is_prefix_normal,
-    min_flip,
-    min_flip_after_bubble,
-    oracle_enumerate,
-    suffixes_satisfy_pn,
-)
-from prefixnormal.ops import _phi_scan
+from prefixnormal import bubble, flip, is_prefix_normal, min_flip, oracle_enumerate
+from prefixnormal.ops import _phi_of_bubble, _phi_scan
 
 from helpers import oracle_min_flip, reference_phi_scan
 
@@ -129,12 +120,14 @@ def test_bubble_preserves_pn():
 
 def test_flip_keeps_pn_fixtures():
     w = "1101001001011000"
-    assert not flip_keeps_pn(w, 14)
-    assert flip_keeps_pn(w, 16)
-    assert flip_keeps_pn("11000000", 3)
+    assert not is_prefix_normal(flip(w, 14))
+    assert is_prefix_normal(flip(w, 16))
+    assert is_prefix_normal(flip("11000000", 3))
 
 
 def test_flip_keeps_pn_agrees_with_oracle_and_threshold():
+    # A flip past the rightmost 1 keeps the word prefix normal exactly from
+    # min_flip on.
     for n in range(2, 15):
         for w in oracle_enumerate(n):
             if "1" not in w:
@@ -142,52 +135,24 @@ def test_flip_keeps_pn_agrees_with_oracle_and_threshold():
             r = w.rfind("1") + 1
             phi = min_flip(w, validate=False)
             for j in range(r + 1, n + 1):
-                got = flip_keeps_pn(w, j, validate=False)
-                assert got == is_prefix_normal(flip(w, j)), (w, j)
-                assert got == (j >= phi), (w, j)
+                assert is_prefix_normal(flip(w, j)) == (j >= phi), (w, j)
 
 
-def test_flip_keeps_pn_preconditions():
-    with pytest.raises(ValueError):
-        flip_keeps_pn("1100", 2)  # not past the rightmost 1
-    with pytest.raises(ValueError):
-        flip_keeps_pn("1100", 5)
-    with pytest.raises(ValueError):
-        flip_keeps_pn("11001101", 8)  # not prefix normal
+def bubbled_phi(w: str) -> int:
+    """min_flip(bubble(w)) from min_flip(w) by the constant-time shortcut."""
+    first = w.find("1")
+    second = w.find("1", first + 1) + 1
+    return _phi_of_bubble(min_flip(w), w.rfind("1") + 1, w.count("1"), second, len(w))
 
 
 def test_min_flip_after_bubble_fixtures():
-    assert min_flip_after_bubble("100100000000", 7) == 9
-    assert min_flip_after_bubble("110001010000", 11) == 11
-    assert min_flip_after_bubble("101001001000", 11) == 12
-
-
-def test_min_flip_after_bubble_preconditions():
-    with pytest.raises(ValueError):
-        min_flip_after_bubble("100000", 3)  # single 1
-    with pytest.raises(ValueError):
-        min_flip_after_bubble("101", 4)  # rightmost 1 at the end
-    with pytest.raises(ValueError):
-        min_flip_after_bubble("110100", 4)  # wrong phi_w, caught by validation
+    assert bubbled_phi("100100000000") == 9
+    assert bubbled_phi("110001010000") == 11
+    assert bubbled_phi("101001001000") == 12
 
 
 def test_min_flip_after_bubble_matches_rescan_up_to_12():
     for n in range(2, 13):
         for w in oracle_enumerate(n):
             if w.count("1") >= 2 and w.endswith("0"):
-                phi = min_flip(w, validate=False)
-                assert min_flip_after_bubble(w, phi) == min_flip(bubble(w)), w
-
-
-def test_suffixes_satisfy_pn_fixtures():
-    assert suffixes_satisfy_pn("10101", 3)
-    assert not suffixes_satisfy_pn("1011", 3)
-    for w in ("101", "1101", "11010010"):
-        assert suffixes_satisfy_pn(w + "0" * len(w) + "1", len(w))
-
-
-def test_suffixes_satisfy_pn_debug_cross_check():
-    # On extension-chain words the window check equals the full test, so
-    # debug mode must stay silent.
-    assert suffixes_satisfy_pn("10101", 3, debug=True)
-    assert not suffixes_satisfy_pn("1011", 3, debug=True)
+                assert bubbled_phi(w) == min_flip(bubble(w)), w

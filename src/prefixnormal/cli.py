@@ -4,7 +4,8 @@ extensions, and a self-check against the brute-force enumeration.
 Words stream to stdout, one per line; diagnostics go to stderr.  Exit codes:
 0 success (or a true answer), 1 a false answer from `check`/`oracle` or
 stdout closed by its reader before the output ended (as in `gen ... | head`;
-no traceback is printed), 2 usage or input error, 3 a resource cap was hit.
+no traceback is printed), 2 usage or input error, 3 a resource limit was hit
+(a scan cap, or the interpreter's recursion limit in a counting walk).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 
 from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
-from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all
+from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all, iter_all
 from .infinite import ScanCapExceeded, density_profile, detect_period, extend_stream
 from .ops import min_flip
 from .words import (
@@ -75,7 +76,7 @@ def _emit_words(args, walk, count) -> None:
         return
     write = sys.stdout.write
     if args.format == "plain":
-        walk(lambda view: write(bytes(view).decode("ascii") + "\n"))
+        walk(lambda word: write(word + "\n"))
         return
     # Written before the first word, between words, around each word, last.
     if args.format == "csv":
@@ -85,9 +86,9 @@ def _emit_words(args, walk, count) -> None:
         head, sep, left, right, end = f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n"
     lead = head
 
-    def visit(view) -> None:
+    def visit(word: str) -> None:
         nonlocal lead
-        write(lead + left + bytes(view).decode("ascii") + right)
+        write(lead + left + word + right)
         lead = sep
 
     if not walk(visit):
@@ -148,27 +149,24 @@ def cmd_extend(args) -> int:
         report = detect_period(w, scan_cap=args.scan_cap)
         print(report.to_json())
         return 0
-    out = w
-    if args.steps:
-        # The stream up to and including its (ones(w) + steps)-th 1.
-        left, symbols = w.count("1") + args.steps, []
-        for ch in extend_stream(w):
-            symbols.append(ch)
-            left -= ch == "1"
-            if not left:
-                break
-        out = "".join(symbols)
-    print(out)
+    # The stream, which checks the seed first, up to and including its
+    # (ones(w) + steps)-th 1.  A checked seed ends with a 1, so --steps 0
+    # prints it unchanged.
+    left, symbols = w.count("1") + args.steps, []
+    for ch in extend_stream(w):
+        symbols.append(ch)
+        left -= ch == "1"
+        if not left:
+            break
+    print("".join(symbols))
     return 0
 
 
 def cmd_oracle(args) -> int:
     n = args.n
     expected = list(oracle_enumerate(n, args.cap))
-    lex: list[str] = []
-    generate_all(n, lambda view: lex.append(bytes(view).decode("ascii")), Order.LEX)
-    gray: list[str] = []
-    generate_all(n, lambda view: gray.append(bytes(view).decode("ascii")), Order.GRAY)
+    lex = list(iter_all(n))
+    gray = list(iter_all(n, Order.GRAY))
 
     results = [
         ("lex listing equals brute force, in order", lex == expected),
@@ -268,6 +266,11 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError as exc:
+        # The counting walk recurses once per 1 it adds, so a large enough n
+        # runs out of interpreter stack.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -52,19 +52,19 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
 
     Requires s >= 1 (the all-zero word is the only one with s == 0 and is
     never part of any class here).  Queries with s + t > n are legal and
-    denote the empty set.  Returns the number of words visited.
+    denote the empty set.  Each word reaches `visit` as a str.  Returns the
+    number of words visited.
     """
     seed, root = _class_root(n, s, t)
     if seed is None:
         return 0
-    view = memoryview(bytearray(seed, "ascii")).toreadonly()
     if order is Order.LEX:
-        visit(view)
+        visit(seed)
     # In post-order the flip subtree ends on its own root, one flipped
     # position away from the seed word, which comes last.
     count = 1 + (generate_pn(root, visit, order) if root else 0)
     if order is Order.GRAY:
-        visit(view)
+        visit(seed)
     return count
 
 

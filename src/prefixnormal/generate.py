@@ -54,14 +54,12 @@ class OpCounter:
 
 
 def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
-    """Yield a read-only view of `buf` once per word of the tree rooted there.
+    """Yield each word of the tree rooted at `buf` as a str.
 
-    The view aliases the internal buffer and is only valid until the generator
-    is advanced.  The caller guarantees the buffer holds a prefix normal word
-    with at least two 1s.
+    The caller guarantees the buffer holds a prefix normal word with at least
+    two 1s.
     """
     n = len(buf)
-    view = memoryview(buf).toreadonly()
     ctr = counter
     lex = order is Order.LEX
 
@@ -96,7 +94,7 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
         # The current node's left subtree is done.
         while True:
             if lex:
-                yield view
+                yield buf.decode()
             if phi <= n:
                 break
             # No right child: the node is finished, and so is every ancestor
@@ -104,7 +102,7 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
             # parent whose left subtree is done.
             while True:
                 if not lex:
-                    yield view
+                    yield buf.decode()
                 if not stack:
                     return
                 tag, r_up, phi, second = pop()
@@ -171,16 +169,16 @@ def _count_run(buf: bytearray, r: int, ones: int, second: int, n: int) -> int:
     return total
 
 
-def _views(n: int, order: Order, counter: OpCounter | None = None):
+def _words(n: int, order: Order, counter: OpCounter | None = None):
     """The walk behind every listing of length n: the all-zero word, the
     single-1 word, then the tree rooted at 110^(n-2)."""
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    for word in (b"0" * n, b"1" + b"0" * (n - 1)) if n else (b"",):
+    for word in ("0" * n, "1" + "0" * (n - 1)) if n else ("",):
         # Words of length <= 1 are emitted without counted work.
         if counter and n > 1:
             counter.add(n)
-        yield memoryview(bytearray(word)).toreadonly()
+        yield word
     if n > 1:
         yield from _walk(bytearray(b"11" + b"0" * (n - 2)), order, counter)
 
@@ -194,10 +192,10 @@ def _checked_seed(seed: str) -> bytearray:
     return bytearray(seed, "ascii")
 
 
-def _visit_each(views, visit) -> int:
+def _visit_each(words, visit) -> int:
     count = 0
-    for view in views:
-        visit(view)
+    for word in words:
+        visit(word)
         count += 1
     return count
 
@@ -209,20 +207,15 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX, *,
 
     Order.LEX visits in increasing lexicographic order; Order.GRAY visits so
     that consecutive words differ in at most 3 positions, ending on `seed`
-    itself.  The visitor receives a read-only view of an internal buffer,
-    valid only for the duration of the call.  Returns the visit count.
+    itself.  The visitor receives each word as a str.  Returns the visit
+    count.
     """
     return _visit_each(_walk(_checked_seed(seed), order, counter), visit)
 
 
-def iter_pn(seed: str, order: Order = Order.LEX, *, copy: bool = True):
-    """Pull-iterator version of generate_pn.
-
-    Yields str copies by default; with copy=False the same read-only buffer
-    view is yielded each time and is invalidated by advancing the iterator.
-    """
-    for view in _walk(_checked_seed(seed), order):
-        yield bytes(view).decode("ascii") if copy else view
+def iter_pn(seed: str, order: Order = Order.LEX):
+    """Pull-iterator version of generate_pn: yields each word as a str."""
+    return _walk(_checked_seed(seed), order)
 
 
 def generate_all(n: int, visit, order: Order = Order.LEX, *,
@@ -234,13 +227,12 @@ def generate_all(n: int, visit, order: Order = Order.LEX, *,
     GRAY output has all consecutive Hamming distances <= 3 and closes the
     cycle at distance 2 from the last word back to the first.
     """
-    return _visit_each(_views(n, order, counter), visit)
+    return _visit_each(_words(n, order, counter), visit)
 
 
-def iter_all(n: int, order: Order = Order.LEX, *, copy: bool = True):
-    """Pull-iterator version of generate_all (same copy semantics as iter_pn)."""
-    for view in _views(n, order):
-        yield bytes(view).decode("ascii") if copy else view
+def iter_all(n: int, order: Order = Order.LEX):
+    """Pull-iterator version of generate_all: yields each word as a str."""
+    return _words(n, order)
 
 
 def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:

@@ -159,10 +159,7 @@ def test_c08_critset_partition_and_histogram_up_to_14():
         per_length: dict[int, int] = {}
         for s in range(1, n + 1):
             for t in range(0, n - s + 1):
-                cnt = critset(
-                    n, s, t,
-                    lambda view: seen.append(bytes(view).decode("ascii")),
-                )
+                cnt = critset(n, s, t, seen.append)
                 if cnt:
                     per_length[s + t] = per_length.get(s + t, 0) + cnt
         ok = ok and len(seen) == len(set(seen))

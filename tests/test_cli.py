@@ -7,6 +7,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixnormal import Order, cli, critset, extend_min, hamming, iter_all
 
@@ -74,7 +76,7 @@ def _critset_words(n, s, t, order):
     """The class as a list, or None when critset rejects the query."""
     words = []
     try:
-        critset(n, s, t, lambda view: words.append(bytes(view).decode("ascii")), order)
+        critset(n, s, t, words.append, order)
     except ValueError:
         return None
     return words
@@ -285,6 +287,21 @@ def test_extend_negative_steps():
 def test_extend_bad_seed():
     assert run("extend", "10", "--steps", "1").returncode == 2
     assert run("extend", "11001101", "--detect").returncode == 2
+    # --steps 0 checks the seed too, though it reads no symbol past it.
+    for word in ("11001101", "10"):
+        res = run("extend", word, "--steps", "0")
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+
+def test_recursion_limit_exit_3():
+    # The counting walk recurses once per 1 it adds; n = 1000 exceeds the
+    # interpreter's recursion limit.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main(["gen", "-n", "1000", "--cap", "1000", "--count-only"])
+    assert code == 3 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
 
 
 def test_extend_scan_cap_exit_3():
@@ -318,3 +335,55 @@ def test_gen_deterministic_bytes():
     a = run("gen", "-n", "9", "--order", "gray")
     b = run("gen", "-n", "9", "--order", "gray")
     assert a.stdout == b.stdout
+
+
+# Flag values: mostly small ints, then negatives and strings that are not
+# integers, so that most draws reach the command rather than argparse.
+_VALUE = st.integers(0, 9).flatmap(lambda kind: (
+    st.integers(0, 12).map(str) if kind < 6 else
+    st.integers(-3, -1).map(str) if kind < 8 else
+    st.sampled_from(["x", "1.5", "", "07", "-0"])))
+_N = st.integers(-2, 10).map(str)
+_WORD = st.one_of(st.text(alphabet="01", max_size=8), st.text(alphabet="01x", max_size=8))
+# Each command's flags and the values they draw; --jobs stays within 1-2, so
+# no call starts more than two workers.
+_LISTING = {"--order": st.sampled_from(["lex", "gray", "up"]), "--count-only": None,
+            "--format": st.sampled_from(["plain", "csv", "json", "xml"])}
+_COMMANDS = {
+    "gen": ([], {"-n": _N, "--cap": _VALUE, **_LISTING}),
+    "critset": ([], {"-n": _N, "-s": _VALUE, "-t": _VALUE, "--cap": _VALUE, **_LISTING}),
+    "table": ([], {"-n": _N, "--cap": _VALUE, "--s-max": _VALUE, "--t-max": _VALUE,
+                   "--jobs": st.sampled_from(["1", "2"]),
+                   "--format": st.sampled_from(["csv", "json", "plain"])}),
+    "hist": ([], {"-n": _N, "--cap": _VALUE, "--format": st.sampled_from(["csv", "json", "plain"])}),
+    "check": ([_WORD], {}),
+    "extend": ([_WORD], {"--steps": _VALUE, "--detect": None, "--scan-cap": _VALUE}),
+    "oracle": ([], {"-n": _N, "--cap": _VALUE}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, flags = _COMMANDS[command]
+    argv = [command] + [draw(value) for value in positional]
+    for flag, value in flags.items():
+        # Required flags are usually present; leaving one out is a usage error.
+        if draw(st.integers(0, 9)) < (8 if flag in ("-n", "-s", "-t") else 4):
+            argv.append(flag)
+            if value is not None:
+                argv.append(draw(value))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_every_argv_exits_0_to_3_without_a_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

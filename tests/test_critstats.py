@@ -17,7 +17,7 @@ from prefixnormal import (
 
 def collect(n, s, t, order=Order.LEX):
     out = []
-    critset(n, s, t, lambda view: out.append(bytes(view).decode("ascii")), order)
+    critset(n, s, t, out.append, order)
     return out
 
 

@@ -7,6 +7,8 @@ from prefixnormal import (
     Order,
     bubble,
     count_pn,
+    critical_prefix,
+    critset,
     flip,
     generate_all,
     generate_pn,
@@ -40,7 +42,7 @@ def test_subtree_lex_is_sorted_gray():
 
 def test_generate_pn_returns_visit_count():
     seen = []
-    count = generate_pn("11010000", lambda view: seen.append(bytes(view).decode()))
+    count = generate_pn("11010000", seen.append)
     assert count == 21 == len(seen)
 
 
@@ -166,15 +168,21 @@ def test_iterator_protocol_and_successors():
         next(it)
 
 
-def test_zero_copy_iteration_reuses_one_buffer():
-    views = iter_pn("110100", copy=False)
-    first = next(views)
-    snapshot = bytes(first)
-    second = next(views)
-    assert second is first  # same underlying view
-    assert bytes(first) != snapshot  # contents moved on
-    with pytest.raises(TypeError):
-        first[0] = 48  # read-only
+def test_visitors_receive_str_words():
+    for order in Order:
+        for seed in ("110100", "11010000", "1101001000"):
+            seen = []
+            generate_pn(seed, seen.append, order)
+            assert seen == list(iter_pn(seed, order)), (seed, order)
+            assert all(type(w) is str for w in seen)
+        for s, t in ((1, 1), (2, 1), (1, 3), (3, 7)):
+            seen = []
+            critset(10, s, t, seen.append, order)
+            assert all(type(w) is str for w in seen)
+            assert sorted(seen) == [
+                w for w in oracle_enumerate(10)
+                if (cp := critical_prefix(w)).s == s and cp.t == t
+            ], (s, t, order)
 
 
 def test_count_pn():
@@ -183,7 +191,7 @@ def test_count_pn():
     assert count_pn(5) == 14
     assert count_pn(16) == len(oracle_enumerate(16))
     for n in range(19):
-        assert count_pn(n) == sum(1 for _ in iter_all(n, copy=False)), n
+        assert count_pn(n) == sum(1 for _ in iter_all(n)), n
     with pytest.raises(ValueError):
         count_pn(41)
 
@@ -194,7 +202,7 @@ def test_count_matches_the_walk_and_restores_the_buffer():
         for w in oracle_enumerate(n):
             if w.count("1") >= 2:
                 buf = bytearray(w, "ascii")
-                assert _count(buf) == sum(1 for _ in iter_pn(w, copy=False)), w
+                assert _count(buf) == sum(1 for _ in iter_pn(w)), w
                 assert buf == w.encode("ascii"), w
 
 

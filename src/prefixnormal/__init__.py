@@ -35,7 +35,6 @@ from .infinite import (
     extend_min,
     extend_stream,
     stream_prefix,
-    verify_densest,
 )
 from .ops import bubble, flip, min_flip
 from .words import (
@@ -89,5 +88,4 @@ __all__ = [
     "prefix_counts",
     "rank1",
     "stream_prefix",
-    "verify_densest",
 ]

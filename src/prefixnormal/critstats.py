@@ -98,18 +98,15 @@ class CountsTable:
             lines.append(f"{s}," + ",".join(str(self.cells[s, t]) for t in self.t_values))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "n": self.n,
             "cells": [
                 {"s": s, "t": t, "count": self.cells[s, t]}
                 for s in self.s_values
                 for t in self.t_values
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
 
 def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTable:
@@ -157,8 +154,8 @@ class Histogram:
             lines.append(f"{length},{count},{100 * count / self.total:.6f}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "n": self.n,
             "total": self.total,
             "bins": [
@@ -166,10 +163,7 @@ class Histogram:
                  "percent": round(100 * self.bins[length] / self.total, 6)}
                 for length in sorted(self.bins)
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
 
 def critical_prefix_histogram(n: int, cap: int | None = None) -> Histogram:

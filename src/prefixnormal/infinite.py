@@ -6,10 +6,11 @@ that is ultimately periodic.  `extend_min` finds each 0-run by trying every
 candidate with the quadratic test; it is the reference.  `extend_stream`
 computes it in closed form from the positions of the 1s among the last
 len(seed) - 1 symbols and the positions of the seed's 1s, at a cost of
-O(number of 1s in that window) per step.  The period's length and number of
-1s are fixed in advance by the seed's minimum-density prefix, which lets
-`detect_period` certify the period after a bounded scan of the stream
-instead of guessing.
+O(number of 1s in that window) per step.  Since that window is all the
+state the stream keeps, `detect_period` certifies the period exactly: it
+reads the stream until the window repeats at the end of a 1.  The
+period's length and number of 1s, fixed in advance by the seed's
+minimum-density prefix, are then checked against the certified tail.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from itertools import islice
 from math import comb
 from operator import add
 
-from .words import (
-    DEFAULT_ORACLE_CAP,
-    check_word,
-    is_prefix_normal,
-    oracle_enumerate,
-    prefix_counts,
-)
-
-_INT64_MAX = 2**63 - 1
+from .words import check_word, is_prefix_normal
 
 
 @dataclass(frozen=True)
@@ -150,8 +143,8 @@ class ExtensionReport:
     scanned_length: int
     checks: dict
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "seed": self.seed,
             "delta": f"{self.density.numerator}/{self.density.denominator}",
             "iota": self.block_len,
@@ -161,72 +154,65 @@ class ExtensionReport:
             "preperiod_bound": self.preperiod_bound,
             "scanned_length": self.scanned_length,
             "checks": dict(self.checks),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
 
 def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     """Certify the ultimate period of the infinite minimal extension of w.
 
-    The stream is cut into blocks whose length is the seed's minimum-density
-    prefix length.  Once the same block value repeats m+1 times in a row
-    (m = ceil(len(w) / block length)) starting past the seed, the generation
-    window has wrapped and the stream is provably periodic from there on.
-    The decomposition is then canonicalized: the period is read off the block
-    grid anchored at the end of the seed, and whole blocks are peeled
-    backwards as long as they match, so the period is never a suffix of the
-    preperiod.
+    After the seed, the stream's next 0-run depends only on its last
+    len(w) - 1 symbols (see `extend_stream`).  So the first time that window
+    repeats at the end of a 1, the stream is provably periodic from the
+    window's earlier occurrence on, with the distance between the two
+    occurrences as its period; this needs no bound, because there are
+    finitely many windows.  The decomposition is then canonicalized: the
+    period is read off the block grid anchored at the end of the seed, with
+    the seed's minimum-density prefix length as block length, and whole
+    blocks are peeled backwards as long as they match, so the period is
+    never a suffix of the preperiod.
 
-    Raises ScanCapExceeded if the cap is reached first; the default cap is
-    large enough that this cannot happen.
+    `preperiod_bound` is the paper's bound on the preperiod, (C(iota, kappa)
+    - 1) * m * iota with m = ceil(len(w) / iota); it is checked, not used to
+    size the scan.  Raises ScanCapExceeded if `scan_cap` symbols are read
+    before the window repeats; with no cap, the scan always ends.
     """
+    if scan_cap is not None and scan_cap < 1:
+        raise ValueError("scan_cap must be >= 1")
     _check_seed(w)
     prof = density_profile(w)
     iota, kappa = prof.length, prof.ones
     seed_len = len(w)
     m = -(-seed_len // iota)
-    binomial = comb(iota, kappa)
-    bound = (binomial - 1) * m * iota
-    if bound > _INT64_MAX:
-        raise ValueError(
-            f"preperiod bound {binomial - 1}*{m}*{iota} exceeds 64-bit range; refusing to scan"
-        )
-    cap = scan_cap if scan_cap is not None else max(bound, seed_len) + (m + 2) * iota
+    bound = (comb(iota, kappa) - 1) * m * iota
 
-    gen = extend_stream(w)
     v: list[str] = []
-    prev_block = None
-    run = 0
-    nblocks = 0
-    periodic_from = None
-    while len(v) < cap:
-        v.append(next(gen))
-        if len(v) % iota == 0:
-            block = "".join(v[len(v) - iota :])
-            run = run + 1 if block == prev_block else 1
-            prev_block = block
-            nblocks += 1
-            if run >= m + 1 and (nblocks - m - 1) * iota + 1 > seed_len:
-                periodic_from = (nblocks - m - 1) * iota + 1
+    seen: dict[str, int] = {}
+    for ch in extend_stream(w):
+        v.append(ch)
+        if ch == "1" and len(v) >= seed_len:
+            first = seen.setdefault("".join(v[len(v) - seed_len + 1 :]), len(v))
+            if first < len(v):
                 break
-    if periodic_from is None:
-        raise ScanCapExceeded(w, cap, "".join(v))
+        if len(v) == scan_cap:
+            raise ScanCapExceeded(w, scan_cap, "".join(v))
+    # v[i - 1] == v[i - 1 + period] for every i >= periodic_from.
+    period = len(v) - first
+    periodic_from = first - seed_len + 2
 
     # Anchor the period grid at the end of the seed and peel whole blocks
     # backwards to the shortest preperiod consistent with that grid.
     a = periodic_from
     while (a - 1) % iota != seed_len % iota:
         a += 1
-    x = "".join(v[a - 1 : a - 1 + iota])
+    x = "".join(v[periodic_from - 1 + (i - periodic_from) % period]
+                for i in range(a, a + iota))
     q = a
     while q - iota >= 1 and "".join(v[q - iota - 1 : q - 1]) == x:
         q -= iota
     u = "".join(v[: q - 1])
 
     checks = {
-        "length_ok": len(x) == iota,
+        "length_ok": iota % period == 0,
         "weight_ok": x.count("1") == kappa,
         "bound_ok": len(u) <= bound,
         "aligned_pn_ok": (len(u) % iota != 0) or is_prefix_normal(x),
@@ -243,24 +229,3 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
         scanned_length=len(v),
         checks=checks,
     )
-
-
-def verify_densest(w: str, n: int, cap: int | None = None) -> bool:
-    """Whether the minimal extension of w dominates, prefix count by prefix
-    count, every prefix normal length-n word starting with w.
-
-    Exhaustive over the brute-force enumeration; a False return means a
-    counterexample exists (and would be a bug in the extension engine).
-    """
-    _check_seed(w)
-    if n < len(w):
-        raise ValueError("n must be at least the seed length")
-    limit = DEFAULT_ORACLE_CAP if cap is None else cap
-    ext = stream_prefix(w, n)
-    pv = prefix_counts(ext)
-    for z in oracle_enumerate(n, limit):
-        if z.startswith(w):
-            pz = prefix_counts(z)
-            if any(pv[i] < pz[i] for i in range(1, n + 1)):
-                return False
-    return True

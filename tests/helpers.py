@@ -6,9 +6,25 @@ tests use these as cross-checks.
 
 import json
 from collections import deque
+from math import comb
 
-from prefixnormal import bubble, flip, is_prefix_normal, min_flip, oracle_enumerate, prefix_counts
+from prefixnormal import (
+    DEFAULT_ORACLE_CAP,
+    ExtensionReport,
+    ScanCapExceeded,
+    bubble,
+    density_profile,
+    extend_stream,
+    flip,
+    is_prefix_normal,
+    min_flip,
+    oracle_enumerate,
+    prefix_counts,
+    stream_prefix,
+)
 from prefixnormal.infinite import _check_seed
+
+_INT64_MAX = 2**63 - 1
 
 
 def pn_def_set(w: str) -> set[str]:
@@ -172,3 +188,103 @@ def prefix_normal_form(w: str) -> str:
     n = len(w)
     best = [0] + [max(p[i + k] - p[i] for i in range(n - k + 1)) for k in range(1, n + 1)]
     return "".join("1" if best[k] > best[k - 1] else "0" for k in range(1, n + 1))
+
+
+def verify_densest(w: str, n: int, cap: int | None = None) -> bool:
+    """Whether the minimal extension of w dominates, prefix count by prefix
+    count, every prefix normal length-n word starting with w.
+
+    Exhaustive over the brute-force enumeration; a False return means a
+    counterexample exists (and would be a bug in the extension engine).
+    """
+    _check_seed(w)
+    if n < len(w):
+        raise ValueError("n must be at least the seed length")
+    limit = DEFAULT_ORACLE_CAP if cap is None else cap
+    ext = stream_prefix(w, n)
+    pv = prefix_counts(ext)
+    for z in oracle_enumerate(n, limit):
+        if z.startswith(w):
+            pz = prefix_counts(z)
+            if any(pv[i] < pz[i] for i in range(1, n + 1)):
+                return False
+    return True
+
+
+def reference_detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
+    """The block-run certificate of the ultimate period, sized by the paper's
+    preperiod bound.
+
+    The stream is cut into blocks whose length is the seed's minimum-density
+    prefix length.  Once the same block value repeats m+1 times in a row
+    (m = ceil(len(w) / block length)) starting past the seed, the generation
+    window has wrapped and the stream is provably periodic from there on.
+    The decomposition is then canonicalized: the period is read off the block
+    grid anchored at the end of the seed, and whole blocks are peeled
+    backwards as long as they match, so the period is never a suffix of the
+    preperiod.
+
+    Raises ScanCapExceeded if the cap is reached first; the default cap is
+    large enough that this cannot happen.
+    """
+    _check_seed(w)
+    prof = density_profile(w)
+    iota, kappa = prof.length, prof.ones
+    seed_len = len(w)
+    m = -(-seed_len // iota)
+    binomial = comb(iota, kappa)
+    bound = (binomial - 1) * m * iota
+    if bound > _INT64_MAX:
+        raise ValueError(
+            f"preperiod bound {binomial - 1}*{m}*{iota} exceeds 64-bit range; refusing to scan"
+        )
+    cap = scan_cap if scan_cap is not None else max(bound, seed_len) + (m + 2) * iota
+
+    gen = extend_stream(w)
+    v: list[str] = []
+    prev_block = None
+    run = 0
+    nblocks = 0
+    periodic_from = None
+    while len(v) < cap:
+        v.append(next(gen))
+        if len(v) % iota == 0:
+            block = "".join(v[len(v) - iota :])
+            run = run + 1 if block == prev_block else 1
+            prev_block = block
+            nblocks += 1
+            if run >= m + 1 and (nblocks - m - 1) * iota + 1 > seed_len:
+                periodic_from = (nblocks - m - 1) * iota + 1
+                break
+    if periodic_from is None:
+        raise ScanCapExceeded(w, cap, "".join(v))
+
+    # Anchor the period grid at the end of the seed and peel whole blocks
+    # backwards to the shortest preperiod consistent with that grid.
+    a = periodic_from
+    while (a - 1) % iota != seed_len % iota:
+        a += 1
+    x = "".join(v[a - 1 : a - 1 + iota])
+    q = a
+    while q - iota >= 1 and "".join(v[q - iota - 1 : q - 1]) == x:
+        q -= iota
+    u = "".join(v[: q - 1])
+
+    checks = {
+        "length_ok": len(x) == iota,
+        "weight_ok": x.count("1") == kappa,
+        "bound_ok": len(u) <= bound,
+        "aligned_pn_ok": (len(u) % iota != 0) or is_prefix_normal(x),
+    }
+    return ExtensionReport(
+        seed=w,
+        density=prof.density,
+        block_len=iota,
+        block_ones=kappa,
+        preperiod=u,
+        period=x,
+        m_blocks=m,
+        preperiod_bound=bound,
+        scanned_length=len(v),
+        checks=checks,
+    )

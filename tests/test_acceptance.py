@@ -26,9 +26,10 @@ from prefixnormal import (
     iter_pn,
     min_flip,
     oracle_enumerate,
-    verify_densest,
 )
 from prefixnormal.ops import _phi_of_bubble
+
+from helpers import verify_densest
 
 TABLE_SMALL = {
     1: ["0", "1"],

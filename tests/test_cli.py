@@ -312,6 +312,23 @@ def test_extend_scan_cap_exit_3():
     assert payload["scan_cap"] == 4
 
 
+def test_extend_non_positive_scan_cap():
+    for cap in ("0", "-5"):
+        res = run("extend", "101", "--detect", "--scan-cap", cap)
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+
+def test_extend_detect_long_seed():
+    # Its paper bound on the preperiod is beyond 2**63.
+    seed = "1111010110101010111010110001000100000110000010000001000010010001"
+    res = run("extend", seed, "--detect")
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert all(payload["checks"].values())
+    assert payload["scanned_length"] == 403
+
+
 def test_oracle_pass():
     res = run("oracle", "-n", "12")
     assert res.returncode == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -16,20 +17,27 @@ from prefixnormal import (
     is_prefix_normal,
     prefix_counts,
     stream_prefix,
+)
+
+from helpers import (
+    prefix_normal_form,
+    reference_detect_period,
+    reference_extend_stream,
+    seeds_ending_in_one,
     verify_densest,
 )
 
-from helpers import prefix_normal_form, reference_extend_stream, seeds_ending_in_one
-
 words = st.text(alphabet="01", min_size=1, max_size=24)
 
-# Prefix normal seeds ending in 1 of length 13..128: the prefix normal form of
-# a word that starts and ends in 1.
-long_seeds = (
-    st.integers(11, 126)
-    .flatmap(lambda k: st.text(alphabet="01", min_size=k, max_size=k))
-    .map(lambda mid: prefix_normal_form("1" + mid + "1"))
-)
+
+def pn_seeds(low, high):
+    """Prefix normal seeds ending in 1 of length low..high: the prefix normal
+    form of a word that starts and ends in 1."""
+    return (
+        st.integers(low - 2, high - 2)
+        .flatmap(lambda k: st.text(alphabet="01", min_size=k, max_size=k))
+        .map(lambda mid: prefix_normal_form("1" + mid + "1"))
+    )
 
 
 def stream_iterates(w, count):
@@ -125,7 +133,7 @@ def test_stream_equals_iterated_extension_on_long_seeds():
 
 
 @settings(max_examples=150)
-@given(long_seeds)
+@given(pn_seeds(13, 128))
 def test_stream_equals_reference_stream(seed):
     assert len(seed) >= 13 and seed.endswith("1") and is_prefix_normal(seed)
     count = 3 * len(seed) + 1
@@ -201,6 +209,45 @@ def test_detect_period_cap():
     assert exc.value.scanned_prefix == "1010"
     assert exc.value.scan_cap == 4
     assert exc.value.seed == "101"
+    # the window repeats at the fifth symbol, so a cap of 5 is enough
+    assert detect_period("101", scan_cap=5).scanned_length == 5
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="scan_cap"):
+            detect_period("101", scan_cap=cap)
+
+
+def _same_report_but_scan(seed):
+    got = detect_period(seed)
+    want = reference_detect_period(seed)
+    assert dataclasses.replace(got, scanned_length=0) == dataclasses.replace(
+        want, scanned_length=0
+    ), seed
+
+
+def test_detect_period_equals_block_run_certificate():
+    for seed in seeds_ending_in_one(12):
+        _same_report_but_scan(seed)
+
+
+@settings(max_examples=200)
+@given(pn_seeds(13, 48))
+def test_detect_period_equals_block_run_certificate_on_random_seeds(seed):
+    _same_report_but_scan(seed)
+
+
+def test_detect_period_certifies_long_seeds():
+    # Most of these have a paper bound beyond 2**63, where the block-run
+    # certificate refused to scan.
+    rng = random.Random(64128)
+    for _ in range(30):
+        density = rng.uniform(0.2, 0.6)
+        mid = rng.choices("01", weights=(1 - density, density), k=rng.randint(62, 126))
+        seed = prefix_normal_form("1" + "".join(mid) + "1")
+        rep = detect_period(seed)
+        assert all(rep.checks.values()), seed
+        probe = len(rep.preperiod) + 3 * len(rep.period) + len(seed)
+        rebuilt = rep.preperiod + rep.period * (probe // len(rep.period) + 1)
+        assert rebuilt[:probe] == stream_prefix(seed, probe), seed
 
 
 def test_detect_period_decomposition_reconstructs_stream():
@@ -225,7 +272,7 @@ def test_extension_report_json_fields():
         "preperiod": "1",
         "period": "01",
         "preperiod_bound": 4,
-        "scanned_length": 10,
+        "scanned_length": 5,
         "checks": {
             "length_ok": True,
             "weight_ok": True,

@@ -10,24 +10,25 @@ positions (a combinatorial Gray code).
 Both orders come from one loop.  It writes each tree move once -- bubble
 down, undo a bubble, flip right, undo a flip -- and the order only decides
 where a node is yielded: between its two subtrees (LEX) or after both
-(GRAY).  One mutable byte buffer holds the current word, an explicit stack
-of undo records tracks the path to the root, and the min_flip value is
-carried along -- recomputed by a linear scan after each flip edge, but
-derived in O(1) along bubble runs.  Every listing is a thin shell over
-that walk; the full listings put 0^n and 10^(n-1) in front of the tree
-rooted at 110^(n-2).
+(GRAY).  One mutable byte buffer holds the current word, with the list of
+the positions of its 1s beside it, an explicit stack of undo records tracks
+the path to the root, and the min_flip value is carried along --
+recomputed after each flip edge from the positions of the 1s in closed
+form, O(number of 1s), and derived in O(1) along bubble runs.  Every
+listing is a thin shell over that walk; the full listings put 0^n and
+10^(n-1) in front of the tree rooted at 110^(n-2).
 
-Only listings yield words.  Counts come from a second, smaller walk that
-adds a whole bubble run of n - r + 1 words in one step and descends only
-into the flip children, which sit on a prefix of the run because min_flip
-never decreases along it.
+Only listings yield words.  Counts come from a second, smaller walk over
+the positions of the 1s alone that adds a whole bubble run of n - r + 1
+words in one step and descends only into the flip children, which sit on
+a prefix of the run because min_flip never decreases along it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .ops import _phi_of_bubble, _phi_scan
+from .ops import _phi, _phi_of_bubble
 from .words import check_word, is_prefix_normal
 
 DEFAULT_GEN_CAP = 40
@@ -63,17 +64,15 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
     ctr = counter
     lex = order is Order.LEX
 
-    first = buf.find(b"1")
-    second = buf.find(b"1", first + 1) + 1
-    ones = buf.count(_ONE)
-    r = buf.rfind(b"1") + 1
+    # The positions of the 1s, kept beside the buffer: a[-1] is the
+    # rightmost 1 and a[1] the second leftmost.
+    a = [i for i, b in enumerate(buf, 1) if b == _ONE]
+    r = a[-1]
+    phi, reads = _phi(a, n)
     if ctr:
-        ctr.add(3 * n)
-    phi, reads = _phi_scan(buf, r, n)
-    if ctr:
-        ctr.add(reads)
+        ctr.add(n + reads)
 
-    stack: list[tuple[int, int, int, int]] = []
+    stack: list[tuple[int, int]] = []
     push = stack.append
     pop = stack.pop
 
@@ -82,13 +81,12 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
         # in O(1) from the parent's.  The leaf ends with a 1, so its
         # min_flip lands on the n+1 sentinel automatically.
         while r < n:
-            push((_LEFT, r, phi, second))
-            phi = _phi_of_bubble(phi, r, ones, second, n)
-            if ones == 2:
-                second = r + 1
+            push((_LEFT, phi))
+            phi = _phi_of_bubble(phi, r, len(a), a[1], n)
             buf[r - 1] = _ZERO
             buf[r] = _ONE
             r += 1
+            a[-1] = r
             if ctr:
                 ctr.add(3)
         # The current node's left subtree is done.
@@ -105,67 +103,65 @@ def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
                     yield buf.decode()
                 if not stack:
                     return
-                tag, r_up, phi, second = pop()
+                tag, phi = pop()
                 buf[r - 1] = _ZERO
                 if tag == _LEFT:
-                    buf[r - 2] = _ONE
-                    r = r_up
+                    r -= 1
+                    buf[r - 1] = _ONE
+                    a[-1] = r
                     if ctr:
                         ctr.add(2)
                     break
-                ones -= 1
-                r = r_up
+                a.pop()
+                r = a[-1]
                 if ctr:
                     ctr.add(1)
         # Flip right, then bubble down from the new node.
-        push((_RIGHT, r, phi, second))
+        push((_RIGHT, phi))
         buf[phi - 1] = _ONE
+        a.append(phi)
         r = phi
-        ones += 1
         if ctr:
             ctr.add(1)
-        phi, reads = _phi_scan(buf, r, n)
+        phi, reads = _phi(a, n)
         if ctr:
             ctr.add(reads)
 
 
-def _count(buf: bytearray) -> int:
-    """Number of words in the tree rooted at `buf`, without yielding any.
-
-    Same precondition as _walk; the buffer holds the root again on return.
+def _count(buf: bytes | bytearray) -> int:
+    """Number of words in the tree rooted at the word in the bytes-like
+    `buf`, without yielding any.  Same precondition as _walk; only the
+    positions of the 1s are used, and `buf` is left as it is.
     """
-    second = buf.find(b"1", buf.find(b"1") + 1) + 1
-    return _count_run(buf, buf.rfind(b"1") + 1, buf.count(_ONE), second, len(buf))
+    return _count_run([i for i, b in enumerate(buf, 1) if b == _ONE], len(buf))
 
 
-def _count_run(buf: bytearray, r: int, ones: int, second: int, n: int) -> int:
-    """Words in the subtree of the node in `buf`, whose rightmost 1 is at r,
+def _count_run(a: list[int], n: int) -> int:
+    """Words in the subtree of the node whose 1s sit at the positions `a`,
     counted a bubble run at a time.
 
-    The run from r holds n - r + 1 nodes.  min_flip never decreases along it,
-    so the nodes with a flip child form a prefix of the run: only that prefix
-    is walked, and each flip child is counted by recursion (depth at most the
-    number of 1s).  A flip child at n is a single leaf, counted unscanned.
+    The run from the rightmost 1 r holds n - r + 1 nodes.  min_flip never
+    decreases along it, so the nodes with a flip child form a prefix of the
+    run: only that prefix is walked, and each flip child is counted by
+    recursion on `a` with its position appended (depth at most the number
+    of 1s).  A flip child at n is a single leaf, counted without recursion.
+    The run moves a's last entry in place; the caller pops or drops it.
     """
-    phi = _phi_scan(buf, r, n)[0]
+    r = a[-1]
+    phi = _phi(a, n)[0]
     total = n - r + 1
-    start = r
+    ones = len(a)
     while phi <= n:
         if phi == n:
             total += 1
         else:
-            buf[phi - 1] = _ONE
-            total += _count_run(buf, phi, ones + 1, second, n)
-            buf[phi - 1] = _ZERO
+            a.append(phi)
+            total += _count_run(a, n)
+            a.pop()
         # phi > r, so the node is not a leaf and can bubble.
-        phi = _phi_of_bubble(phi, r, ones, second, n)
-        if ones == 2:
-            second = r + 1
-        buf[r - 1] = _ZERO
-        buf[r] = _ONE
+        phi = _phi_of_bubble(phi, r, ones, a[1], n)
         r += 1
-    buf[r - 1] = _ZERO
-    buf[start - 1] = _ONE
+        a[-1] = r
     return total
 
 

@@ -90,9 +90,14 @@ def extend_stream(w: str):
     appending a 1 there must not beat the prefix of the same length.  P_{i+1}
     always exists: the word stays prefix normal, so the window holds at most
     as many 1s as w's first len(w) - 1 symbols.  Only the positions of the 1s
-    in the window are kept, so a step costs O(number of those 1s).
+    in the window are kept, so a step costs O(number of those 1s).  The
+    seed is checked when this is called.
     """
-    _check_seed(w)
+    return _stream(_check_seed(w))
+
+
+def _stream(w: str):
+    """extend_stream without the seed check, for callers that made it."""
     size = len(w)
     yield from w
     ones = [i for i, ch in enumerate(w, 1) if ch == "1"]
@@ -187,7 +192,7 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
 
     v: list[str] = []
     seen: dict[str, int] = {}
-    for ch in extend_stream(w):
+    for ch in _stream(w):
         v.append(ch)
         if ch == "1" and len(v) >= seed_len:
             first = seen.setdefault("".join(v[len(v) - seed_len + 1 :]), len(v))

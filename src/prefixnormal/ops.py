@@ -2,12 +2,14 @@
 
 `min_flip` is the workhorse: for a prefix normal word it finds the smallest
 position past the rightmost 1 where a 1 can be written without breaking
-prefix normality (the sentinel n+1 means "nowhere").  The scan runs in
-O(r) symbol reads in the worst case, r being the position of the rightmost
-1, and stops as soon as the answer is known to be the sentinel.
+prefix normality (the sentinel n+1 means "nowhere").  It has a closed form
+in the positions of the 1s, pairing the i-th 1 from the left with the i-th
+from the right, so it costs O(number of 1s) instead of a scan of the word.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .words import check_word, is_prefix_normal
 
@@ -31,46 +33,25 @@ def bubble(w: str) -> str:
     return w[: r - 1] + "01" + w[r + 1 :]
 
 
-def _phi_scan(buf, r: int, n: int) -> tuple[int, int]:
-    """Core scan behind min_flip, on a bytes-like buffer of ASCII '0'/'1'.
+def _phi(a: list[int], n: int) -> tuple[int, int]:
+    """min_flip from the 1-based positions a_1 < ... < a_k = r of the 1s.
 
-    Walks the prefix before position r with two counters: f counts 1s in the
-    i-length prefix, g counts 1s in the i-length suffix ending at r.  Whenever
-    they agree, the run of 0s that follows the prefix caps how far past r a new
-    1 may go.  While skipping such a run, g is left un-updated; this is sound
-    only because the word is prefix normal: a suffix already holding the
-    maximum allowed number of 1s can only be extended leftward by 0s while the
-    prefix side stays flat.  The answer is min(r + longest + 1, n + 1) for
-    the longest such run, so the scan stops once a run reaches n - r: the
-    sentinel is then certain.  With r == n nothing is read.  O(r) reads in the
-    worst case.  Returns (position, symbol reads).
+    A 1 written at j > r puts c + 1 1s into the suffix that starts at
+    a_{k+1-c} (the c-th 1 from the right), so that suffix's length
+    j + 1 - a_{k+1-c} must reach a_{c+1}, where the prefix gets its
+    (c + 1)-th 1.  Longer suffixes with
+    the same count, and suffixes ending before j, are no tighter.  So
+    phi = min(n + 1, max(r + 1, max_{2<=x<=k} (a_x + a_{k+2-x}) - 1)), the
+    same pairing extend_stream uses: phi == min(n + 1,
+    len(extend_min(w[:r]))).  It reads the k - 1 paired positions, none
+    when r == n (the answer is then n + 1).  Returns (position, position
+    reads).
     """
+    r = a[-1]
     if r == n:
         return n + 1, 0
-    f = g = 0
-    i = 1
-    longest = 0
-    reads = 0
-    while i < r:
-        f += buf[i - 1] & 1
-        g += buf[r - i] & 1
-        reads += 2
-        if f == g:
-            run = 0
-            i += 1
-            while i < r:
-                reads += 1
-                if buf[i - 1] & 1:
-                    break
-                run += 1
-                i += 1
-            if run > longest:
-                if run >= n - r:
-                    return n + 1, reads
-                longest = run
-        else:
-            i += 1
-    return min(r + longest + 1, n + 1), reads
+    t = a[1:]
+    return min(n + 1, max(map(add, t, reversed(t)), default=r + 2) - 1), len(t)
 
 
 def min_flip(w: str, *, validate: bool = True) -> int:
@@ -85,9 +66,7 @@ def min_flip(w: str, *, validate: bool = True) -> int:
         raise ValueError("an all-zero word has no flip position")
     if validate and not is_prefix_normal(w):
         raise ValueError("word is not prefix normal")
-    r = w.rfind("1") + 1
-    phi, _ = _phi_scan(w.encode("ascii"), r, len(w))
-    return phi
+    return _phi([i for i, ch in enumerate(w, 1) if ch == "1"], len(w))[0]
 
 
 def _phi_of_bubble(phi: int, r: int, ones: int, second: int, n: int) -> int:

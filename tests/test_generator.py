@@ -217,10 +217,12 @@ def test_counter_monotone_and_positive():
 @pytest.mark.parametrize("order", list(Order))
 def test_counter_totals_pinned(order):
     # Symbol reads and writes of a full listing, the paper's cost measure;
-    # both orders traverse the same edges and scan the same nodes.  The
-    # min_flip scan stops once its answer is the n+1 sentinel, which took
-    # these totals down from 9,255 and 131,813.
-    for n, total in ((12, 5557), (16, 73267)):
+    # both orders traverse the same edges and evaluate min_flip at the same
+    # nodes.  After each flip min_flip is the closed form
+    # min(n + 1, max_x (a_x + a_{k+2-x}) - 1) over the positions a of the
+    # k 1s, counted as its k - 1 paired position reads; the root's 1s are
+    # found by one n-symbol read.
+    for n, total in ((12, 3580), (16, 42124)):
         ctr = OpCounter()
         generate_all(n, lambda view: None, order, counter=ctr)
         assert ctr.count == total, (n, order)

@@ -216,6 +216,24 @@ def test_detect_period_cap():
             detect_period("101", scan_cap=cap)
 
 
+def test_detect_period_checks_the_seed_once(monkeypatch):
+    # The seed's quadratic check runs once; the only other call is the
+    # aligned_pn_ok check of a period block that starts on the grid.
+    import prefixnormal.infinite as infinite
+
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return is_prefix_normal(w)
+
+    monkeypatch.setattr(infinite, "is_prefix_normal", counted)
+    for seed in ("1", "101", "1101001", "110100101001", "1010010001"):
+        calls.clear()
+        rep = detect_period(seed)
+        assert len(calls) == 1 + (len(rep.preperiod) % rep.block_len == 0), seed
+
+
 def _same_report_but_scan(seed):
     got = detect_period(seed)
     want = reference_detect_period(seed)

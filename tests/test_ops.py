@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixnormal import bubble, flip, is_prefix_normal, min_flip, oracle_enumerate
-from prefixnormal.ops import _phi_of_bubble, _phi_scan
+from prefixnormal import bubble, extend_min, flip, is_prefix_normal, min_flip, oracle_enumerate
+from prefixnormal.ops import _phi, _phi_of_bubble
 
-from helpers import oracle_min_flip, reference_phi_scan
+from helpers import oracle_min_flip, prefix_normal_form, reference_phi_scan
 
 words = st.text(alphabet="01", min_size=1, max_size=24)
 
@@ -66,28 +66,48 @@ def test_min_flip_matches_bruteforce_up_to_14():
                 assert min_flip(w) == oracle_min_flip(w), w
 
 
-def test_min_flip_scan_reads_linear_in_r():
-    # each position before r is read at most three times: by the prefix
-    # counter, the suffix counter, and the zero-run peek
+def ones_positions(w: str) -> list[int]:
+    return [i for i, ch in enumerate(w, 1) if ch == "1"]
+
+
+def test_phi_reads_one_position_per_pair():
+    # The closed form reads the k - 1 paired positions of the k 1s, and
+    # nothing when the rightmost 1 is at n.
     for n in range(1, 15):
         for w in oracle_enumerate(n):
             if "1" in w:
-                r = w.rfind("1") + 1
-                _, reads = _phi_scan(w.encode("ascii"), r, n)
-                assert reads <= 3 * r
+                _, reads = _phi(ones_positions(w), n)
+                assert reads == (0 if w.endswith("1") else w.count("1") - 1), w
 
 
-def test_phi_scan_early_exit_matches_full_scan():
-    # Stopping once the answer is the sentinel changes no position and never
-    # reads more than the scan over the whole prefix.
+def assert_phi_matches_scan(w: str) -> None:
+    phi, _ = _phi(ones_positions(w), len(w))
+    assert phi == reference_phi_scan(w.encode("ascii"), w.rfind("1") + 1, len(w))[0], w
+
+
+def test_phi_matches_full_scan():
     for n in range(1, 17):
         for w in oracle_enumerate(n):
             if "1" in w:
-                buf = w.encode("ascii")
+                assert_phi_matches_scan(w)
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="01", min_size=17, max_size=96), st.integers(0, 40))
+def test_phi_matches_full_scan_on_long_words(raw, zeros):
+    w = prefix_normal_form(raw) + "0" * zeros
+    if "1" in w:
+        assert_phi_matches_scan(w)
+
+
+def test_min_flip_is_the_capped_minimal_extension():
+    # min_flip puts the next 1 where extend_min puts it after w[:r], unless
+    # that is past the end.
+    for n in range(1, 13):
+        for w in oracle_enumerate(n):
+            if "1" in w:
                 r = w.rfind("1") + 1
-                phi, reads = _phi_scan(buf, r, n)
-                ref_phi, ref_reads = reference_phi_scan(buf, r, n)
-                assert phi == ref_phi and reads <= ref_reads, w
+                assert min_flip(w) == min(n + 1, len(extend_min(w[:r]))), w
 
 
 def test_flips_at_or_past_min_flip_stay_pn():

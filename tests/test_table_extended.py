@@ -1,7 +1,7 @@
 """Extended check: the complete 7 x 32 critical-prefix class matrix at n=32.
 
-Takes about two minutes on 2 CPUs (117 s measured); opt in with
-PREFIXNORMAL_EXTENDED=1.
+Takes about a minute and a half on 2 CPUs (90-100 s measured); opt in
+with PREFIXNORMAL_EXTENDED=1.
 """
 
 import os

@@ -47,45 +47,6 @@ from .words import (
     last_one,
     oracle_enumerate,
     prefix_counts,
-    rank1,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CountsTable",
-    "CritPrefix",
-    "DEFAULT_GEN_CAP",
-    "DEFAULT_ORACLE_CAP",
-    "DensityProfile",
-    "ExtensionReport",
-    "Histogram",
-    "OpCounter",
-    "Order",
-    "ScanCapExceeded",
-    "bubble",
-    "check_word",
-    "count_pn",
-    "critical_prefix",
-    "critical_prefix_histogram",
-    "critset",
-    "critset_count",
-    "critset_table",
-    "density_profile",
-    "detect_period",
-    "extend_min",
-    "extend_stream",
-    "flip",
-    "generate_all",
-    "generate_pn",
-    "hamming",
-    "is_prefix_normal",
-    "iter_all",
-    "iter_pn",
-    "last_one",
-    "min_flip",
-    "oracle_enumerate",
-    "prefix_counts",
-    "rank1",
-    "stream_prefix",
-]

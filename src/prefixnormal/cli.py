@@ -144,6 +144,8 @@ def cmd_check(args) -> int:
 def cmd_extend(args) -> int:
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
+    if args.scan_cap is not None and not args.detect:
+        raise ValueError("--scan-cap applies only with --detect")
     w = args.word
     if args.detect:
         report = detect_period(w, scan_cap=args.scan_cap)

@@ -73,7 +73,7 @@ def critset_count(n: int, s: int, t: int) -> int:
     seed, root = _class_root(n, s, t)
     if seed is None:
         return 0
-    return 1 + (_count(bytearray(root, "ascii")) if root else 0)
+    return 1 + (_count(root) if root else 0)
 
 
 @dataclass(frozen=True)

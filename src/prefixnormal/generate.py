@@ -7,34 +7,29 @@ An in-order walk of that tree lists the words in increasing lexicographic
 order; a post-order walk lists them so that neighbours differ in at most 3
 positions (a combinatorial Gray code).
 
-Both orders come from one loop.  It writes each tree move once -- bubble
-down, undo a bubble, flip right, undo a flip -- and the order only decides
-where a node is yielded: between its two subtrees (LEX) or after both
-(GRAY).  One mutable byte buffer holds the current word, with the list of
-the positions of its 1s beside it, an explicit stack of undo records tracks
-the path to the root, and the min_flip value is carried along --
-recomputed after each flip edge from the positions of the 1s in closed
-form, O(number of 1s), and derived in O(1) along bubble runs.  Every
+Both walks go a bubble run at a time: the left spine from a node, along
+which its rightmost 1 slides to the end.  min_flip never decreases along a
+run, so the nodes with a flip child form a prefix of it, and one pass over
+the positions of the 1s (`ops._run`, O(number of 1s)) gives that prefix
+and min_flip at each of its nodes.  The listing walk keeps its paused runs
+on an explicit stack, and the order only decides whether a flip node is
+yielded before (LEX) or after (GRAY) its flip child's subtree.  Every
 listing is a thin shell over that walk; the full listings put 0^n and
 10^(n-1) in front of the tree rooted at 110^(n-2).
 
 Only listings yield words.  Counts come from a second, smaller walk over
-the positions of the 1s alone that adds a whole bubble run of n - r + 1
-words in one step and descends only into the flip children, which sit on
-a prefix of the run because min_flip never decreases along it.
+the positions of the 1s alone that adds a whole run of n - r + 1 words in
+one step and descends only into the flip children.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .ops import _phi, _phi_of_bubble
+from .ops import _run
 from .words import check_word, is_prefix_normal
 
 DEFAULT_GEN_CAP = 40
-
-_ZERO, _ONE = 0x30, 0x31
-_LEFT, _RIGHT = 0, 1
 
 
 class Order(Enum):
@@ -54,114 +49,105 @@ class OpCounter:
         self.count += k
 
 
-def _walk(buf: bytearray, order: Order, counter: OpCounter | None = None):
-    """Yield each word of the tree rooted at `buf` as a str.
+def _walk(seed: str, order: Order, counter: OpCounter | None = None):
+    """Yield each word of the tree rooted at `seed` as a str, a bubble run
+    at a time.
 
-    The caller guarantees the buffer holds a prefix normal word with at least
-    two 1s.
+    The caller guarantees that `seed` is prefix normal with at least two 1s.
+    A run's nodes are base[:q-1] + "1" + base[q:] for r <= q <= n, where
+    `base` is its first node with the rightmost 1 (at r) cleared; only
+    r <= q < end have a flip child (ops._run).  The nodes past that are
+    yielded first, leaf first, in both orders; the walk then climbs the run
+    and yields each flip node before (LEX) or after (GRAY) its flip child's
+    subtree.  A flip child's base is its parent's word.  The paused runs
+    sit on an explicit stack, and `a` holds the positions of the 1s of the
+    current node.  The counter is charged as an edge-by-edge walk would
+    be: n at the root, the run's reads and 3 per bubble on entering a run,
+    2 per step up a run, 1 per flip and 1 per return from a flip child.
     """
-    n = len(buf)
+    n = len(seed)
     ctr = counter
     lex = order is Order.LEX
-
-    # The positions of the 1s, kept beside the buffer: a[-1] is the
-    # rightmost 1 and a[1] the second leftmost.
-    a = [i for i, b in enumerate(buf, 1) if b == _ONE]
+    a = [i for i, ch in enumerate(seed, 1) if ch == "1"]
     r = a[-1]
-    phi, reads = _phi(a, n)
+    base = seed[: r - 1] + "0" + seed[r:]
+    # Every run starts at or after the root's r, and base[q:] is all 0s
+    # for q >= r, so a node is base[:q-1] + tails[n-q].
+    tails = ["1" + "0" * j for j in range(n - r + 1)]
     if ctr:
-        ctr.add(n + reads)
-
-    stack: list[tuple[int, int]] = []
+        ctr.add(n)
+    stack: list[tuple[str, int, int, int, int, str]] = []
     push = stack.append
     pop = stack.pop
 
     while True:
-        # Bubble down to the leftmost leaf, deriving each child's min_flip
-        # in O(1) from the parent's.  The leaf ends with a 1, so its
-        # min_flip lands on the n+1 sentinel automatically.
-        while r < n:
-            push((_LEFT, phi))
-            phi = _phi_of_bubble(phi, r, len(a), a[1], n)
-            buf[r - 1] = _ZERO
-            buf[r] = _ONE
-            r += 1
-            a[-1] = r
-            if ctr:
-                ctr.add(3)
-        # The current node's left subtree is done.
+        rest, second, end, reads = _run(a, n)
+        if ctr:
+            ctr.add(reads + 3 * (n - r))
+        for q in range(n, end - 1, -1):
+            if ctr and q < n:
+                ctr.add(2)
+            yield base[: q - 1] + tails[n - q]
+        q = end
         while True:
-            if lex:
-                yield buf.decode()
-            if phi <= n:
-                break
-            # No right child: the node is finished, and so is every ancestor
-            # reached by undoing flips, until an undone bubble lands on a
-            # parent whose left subtree is done.
-            while True:
-                if not lex:
-                    yield buf.decode()
+            if q == r:
+                # The run is done: resume its parent's run at the flip node.
                 if not stack:
                     return
-                tag, phi = pop()
-                buf[r - 1] = _ZERO
-                if tag == _LEFT:
-                    r -= 1
-                    buf[r - 1] = _ONE
-                    a[-1] = r
-                    if ctr:
-                        ctr.add(2)
-                    break
+                base, r, rest, second, q, word = pop()
                 a.pop()
-                r = a[-1]
+            else:
+                q -= 1
+                word = base[: q - 1] + tails[n - q]
+                if ctr:
+                    ctr.add(2)
+                if lex:
+                    yield word
                 if ctr:
                     ctr.add(1)
-        # Flip right, then bubble down from the new node.
-        push((_RIGHT, phi))
-        buf[phi - 1] = _ONE
-        a.append(phi)
-        r = phi
-        if ctr:
-            ctr.add(1)
-        phi, reads = _phi(a, n)
-        if ctr:
-            ctr.add(reads)
+                phi = max(rest, (second or q) + q) - 1
+                if phi < n:
+                    push((base, r, rest, second, q, word))
+                    a[-1] = q
+                    a.append(phi)
+                    base, r = word, phi
+                    break
+                # A flip child at n is a single leaf.
+                yield word[:-1] + "1"
+            if ctr:
+                ctr.add(1)
+            if not lex:
+                yield word
 
 
-def _count(buf: bytes | bytearray) -> int:
-    """Number of words in the tree rooted at the word in the bytes-like
-    `buf`, without yielding any.  Same precondition as _walk; only the
-    positions of the 1s are used, and `buf` is left as it is.
+def _count(seed: str) -> int:
+    """Number of words in the tree rooted at `seed`, without yielding any.
+    Same precondition as _walk; only the positions of the 1s are used.
     """
-    return _count_run([i for i, b in enumerate(buf, 1) if b == _ONE], len(buf))
+    return _count_run([i for i, ch in enumerate(seed, 1) if ch == "1"], len(seed))
 
 
 def _count_run(a: list[int], n: int) -> int:
     """Words in the subtree of the node whose 1s sit at the positions `a`,
     counted a bubble run at a time.
 
-    The run from the rightmost 1 r holds n - r + 1 nodes.  min_flip never
-    decreases along it, so the nodes with a flip child form a prefix of the
-    run: only that prefix is walked, and each flip child is counted by
-    recursion on `a` with its position appended (depth at most the number
-    of 1s).  A flip child at n is a single leaf, counted without recursion.
+    The run from the rightmost 1 r holds n - r + 1 nodes, and only
+    r <= q < end have a flip child (ops._run).  Each flip child is counted
+    by recursion on `a` with its position appended (depth at most the
+    number of 1s); one at n is a single leaf, counted without recursion.
     The run moves a's last entry in place; the caller pops or drops it.
     """
-    r = a[-1]
-    phi = _phi(a, n)[0]
-    total = n - r + 1
-    ones = len(a)
-    while phi <= n:
+    rest, second, end, _ = _run(a, n)
+    total = n - a[-1] + 1
+    for q in range(a[-1], end):
+        phi = max(rest, (second or q) + q) - 1
         if phi == n:
             total += 1
         else:
+            a[-1] = q
             a.append(phi)
             total += _count_run(a, n)
             a.pop()
-        # phi > r, so the node is not a leaf and can bubble.
-        phi = _phi_of_bubble(phi, r, ones, a[1], n)
-        r += 1
-        a[-1] = r
     return total
 
 
@@ -176,16 +162,16 @@ def _words(n: int, order: Order, counter: OpCounter | None = None):
             counter.add(n)
         yield word
     if n > 1:
-        yield from _walk(bytearray(b"11" + b"0" * (n - 2)), order, counter)
+        yield from _walk("11" + "0" * (n - 2), order, counter)
 
 
-def _checked_seed(seed: str) -> bytearray:
+def _checked_seed(seed: str) -> str:
     check_word(seed)
     if seed.count("1") < 2:
         raise ValueError("the starting word needs at least two 1s")
     if not is_prefix_normal(seed):
         raise ValueError("the starting word is not prefix normal")
-    return bytearray(seed, "ascii")
+    return seed
 
 
 def _visit_each(words, visit) -> int:
@@ -240,4 +226,4 @@ def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     if n < 2:
         return n + 1
     # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).
-    return 2 + _count(bytearray(b"11" + b"0" * (n - 2)))
+    return 2 + _count("11" + "0" * (n - 2))

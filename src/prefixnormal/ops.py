@@ -5,6 +5,9 @@ position past the rightmost 1 where a 1 can be written without breaking
 prefix normality (the sentinel n+1 means "nowhere").  It has a closed form
 in the positions of the 1s, pairing the i-th 1 from the left with the i-th
 from the right, so it costs O(number of 1s) instead of a scan of the word.
+Sliding the rightmost 1 moves only one of those pair sums, so one such
+pass (`_run`) gives min_flip at every node of the slide run and the range
+of nodes where a flip fits; both generator walks use it.
 """
 
 from __future__ import annotations
@@ -33,25 +36,36 @@ def bubble(w: str) -> str:
     return w[: r - 1] + "01" + w[r + 1 :]
 
 
-def _phi(a: list[int], n: int) -> tuple[int, int]:
-    """min_flip from the 1-based positions a_1 < ... < a_k = r of the 1s.
+def _run(a: list[int], n: int) -> tuple[int, int, int, int]:
+    """The bubble run from the node whose 1s sit at the 1-based positions
+    a_1 < ... < a_k = r, k >= 2.
 
     A 1 written at j > r puts c + 1 1s into the suffix that starts at
     a_{k+1-c} (the c-th 1 from the right), so that suffix's length
     j + 1 - a_{k+1-c} must reach a_{c+1}, where the prefix gets its
-    (c + 1)-th 1.  Longer suffixes with
-    the same count, and suffixes ending before j, are no tighter.  So
-    phi = min(n + 1, max(r + 1, max_{2<=x<=k} (a_x + a_{k+2-x}) - 1)), the
-    same pairing extend_stream uses: phi == min(n + 1,
-    len(extend_min(w[:r]))).  It reads the k - 1 paired positions, none
-    when r == n (the answer is then n + 1).  Returns (position, position
-    reads).
+    (c + 1)-th 1.  Longer suffixes with the same count, and suffixes ending
+    before j, are no tighter.  So min_flip is
+    min(n + 1, max_{2<=x<=k} (a_x + a_{k+2-x}) - 1), the same pairing
+    extend_stream uses, and equals min(n + 1, len(extend_min(w[:r]))).
+
+    Bubbling moves only a_k, so along the run only the pair sum a_2 + a_k
+    moves: the node whose rightmost 1 is at q has min_flip
+    min(n + 1, max(rest, (second or q) + q) - 1), where `rest` is the
+    largest fixed pair sum over a_3 .. a_{k-1} and `second` is a_2, or 0
+    when k == 2 (a_2 is then a_k itself).  That grows with q, so the nodes
+    with a flip child are exactly r <= q < end.  Returns (rest, second,
+    end, reads), where reads counts the k - 1 paired positions, none when
+    r == n (min_flip is then n + 1).
     """
     r = a[-1]
-    if r == n:
-        return n + 1, 0
-    t = a[1:]
-    return min(n + 1, max(map(add, t, reversed(t)), default=r + 2) - 1), len(t)
+    m = a[2:-1]
+    rest = max(map(add, m, reversed(m)), default=0)
+    second = a[1] if len(a) > 2 else 0
+    if rest > n + 1:
+        end = r
+    else:
+        end = max(r, n + 2 - second if second else (n + 3) // 2)
+    return rest, second, end, (len(a) - 1 if r < n else 0)
 
 
 def min_flip(w: str, *, validate: bool = True) -> int:
@@ -66,19 +80,9 @@ def min_flip(w: str, *, validate: bool = True) -> int:
         raise ValueError("an all-zero word has no flip position")
     if validate and not is_prefix_normal(w):
         raise ValueError("word is not prefix normal")
-    return _phi([i for i, ch in enumerate(w, 1) if ch == "1"], len(w))[0]
-
-
-def _phi_of_bubble(phi: int, r: int, ones: int, second: int, n: int) -> int:
-    """Constant-time min_flip of the bubbled word from the parent's fields.
-
-    `second` is the 1-based position of the second leftmost 1.  Cases: with
-    exactly two 1s the gap widens on both flanks; when at least two 1s sit
-    within the first phi - r symbols the bound is unchanged; otherwise it
-    slips by one.
-    """
-    if ones == 2:
-        return min(n + 1, phi + 2)
-    if second <= phi - r:
-        return phi
-    return min(n + 1, phi + 1)
+    a = [i for i, ch in enumerate(w, 1) if ch == "1"]
+    r, n = a[-1], len(w)
+    if len(a) == 1:
+        return min(n + 1, r + 1)
+    rest, second, _, _ = _run(a, n)
+    return min(n + 1, max(rest, (second or r) + r) - 1)

@@ -23,14 +23,6 @@ def check_word(w: str) -> str:
     return w
 
 
-def rank1(w: str, i: int) -> int:
-    """Number of 1s among the first i symbols of w (0 <= i <= len(w))."""
-    check_word(w)
-    if not 0 <= i <= len(w):
-        raise IndexError(f"prefix length {i} out of range for a word of length {len(w)}")
-    return w.count("1", 0, i)
-
-
 def prefix_counts(w: str) -> list[int]:
     """The running count of 1s: counts[i] is the number of 1s in the i-length prefix."""
     counts = [0] * (len(w) + 1)

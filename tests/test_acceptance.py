@@ -27,7 +27,7 @@ from prefixnormal import (
     min_flip,
     oracle_enumerate,
 )
-from prefixnormal.ops import _phi_of_bubble
+from prefixnormal.ops import _run
 
 from helpers import verify_densest
 
@@ -115,14 +115,18 @@ def test_c04_bubble_shortcut_equals_rescan_up_to_16():
     ok = True
     for n in range(2, 17):
         for w in oracle_enumerate(n):
-            if w.count("1") >= 2 and w.endswith("0"):
-                phi = min_flip(w, validate=False)
-                second = w.find("1", w.find("1") + 1) + 1
-                got = _phi_of_bubble(phi, w.rfind("1") + 1, w.count("1"), second, n)
-                ok = ok and got == min_flip(bubble(w), validate=False)
+            if w.count("1") >= 2:
+                r = w.rfind("1") + 1
+                rest, second, _, _ = _run([i for i, ch in enumerate(w, 1) if ch == "1"], n)
+                v = w
+                for q in range(r, n + 1):
+                    got = min(n + 1, max(rest, (second or q) + q) - 1)
+                    ok = ok and got == min_flip(v, validate=False)
+                    if q < n:
+                        v = bubble(v)
                 if not ok:
                     break
-    report(4, "constant-time bubble shortcut equals rescans for n<=16", ok)
+    report(4, "bubble-run formula equals rescans for n<=16", ok)
 
 
 def test_c05_gray_code_2_to_16():

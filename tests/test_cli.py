@@ -319,6 +319,14 @@ def test_extend_non_positive_scan_cap():
         assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
 
 
+def test_extend_scan_cap_needs_detect():
+    # Valid or not, a scan cap without --detect is refused, not ignored.
+    for cap in ("4", "-3"):
+        res = run("extend", "101", "--scan-cap", cap, "--steps", "2")
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+
 def test_extend_detect_long_seed():
     # Its paper bound on the preperiod is beyond 2**63.
     seed = "1111010110101010111010110001000100000110000010000001000010010001"

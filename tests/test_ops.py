@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixnormal import bubble, extend_min, flip, is_prefix_normal, min_flip, oracle_enumerate
-from prefixnormal.ops import _phi, _phi_of_bubble
+from prefixnormal.ops import _run
 
 from helpers import oracle_min_flip, prefix_normal_form, reference_phi_scan
 
@@ -70,19 +70,29 @@ def ones_positions(w: str) -> list[int]:
     return [i for i, ch in enumerate(w, 1) if ch == "1"]
 
 
+def run_min_flip(w: str, q: int) -> tuple[int, int]:
+    """min_flip of the node of w's bubble run whose rightmost 1 is at q,
+    by the run formula, and the run's position reads."""
+    n = len(w)
+    rest, second, _, reads = _run(ones_positions(w), n)
+    return min(n + 1, max(rest, (second or q) + q) - 1), reads
+
+
 def test_phi_reads_one_position_per_pair():
     # The closed form reads the k - 1 paired positions of the k 1s, and
     # nothing when the rightmost 1 is at n.
-    for n in range(1, 15):
+    for n in range(2, 15):
         for w in oracle_enumerate(n):
-            if "1" in w:
-                _, reads = _phi(ones_positions(w), n)
+            if w.count("1") >= 2:
+                _, reads = run_min_flip(w, w.rfind("1") + 1)
                 assert reads == (0 if w.endswith("1") else w.count("1") - 1), w
 
 
 def assert_phi_matches_scan(w: str) -> None:
-    phi, _ = _phi(ones_positions(w), len(w))
-    assert phi == reference_phi_scan(w.encode("ascii"), w.rfind("1") + 1, len(w))[0], w
+    scan = reference_phi_scan(w.encode("ascii"), w.rfind("1") + 1, len(w))[0]
+    assert min_flip(w, validate=False) == scan, w
+    if w.count("1") >= 2:
+        assert run_min_flip(w, w.rfind("1") + 1)[0] == scan, w
 
 
 def test_phi_matches_full_scan():
@@ -159,10 +169,8 @@ def test_flip_keeps_pn_agrees_with_oracle_and_threshold():
 
 
 def bubbled_phi(w: str) -> int:
-    """min_flip(bubble(w)) from min_flip(w) by the constant-time shortcut."""
-    first = w.find("1")
-    second = w.find("1", first + 1) + 1
-    return _phi_of_bubble(min_flip(w), w.rfind("1") + 1, w.count("1"), second, len(w))
+    """min_flip(bubble(w)) by the run formula at q = r + 1."""
+    return run_min_flip(w, w.rfind("1") + 2)[0]
 
 
 def test_min_flip_after_bubble_fixtures():

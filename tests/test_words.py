@@ -10,25 +10,11 @@ from prefixnormal import (
     last_one,
     oracle_enumerate,
     prefix_counts,
-    rank1,
 )
 
 from helpers import window_formulation_is_pn
 
 words = st.text(alphabet="01", max_size=24)
-
-
-def test_rank1_fixtures():
-    assert rank1("1101000100110100", 4) == 3
-    assert rank1("1101000100110100", 0) == 0
-    assert rank1("110100101001", 11) == 5
-
-
-def test_rank1_range_errors():
-    with pytest.raises(IndexError):
-        rank1("101", 4)
-    with pytest.raises(IndexError):
-        rank1("101", -1)
 
 
 @given(words)
@@ -38,7 +24,7 @@ def test_rank1_monotone_unit_steps(w):
     assert p[len(w)] == w.count("1")
     for i in range(1, len(w) + 1):
         assert p[i] - p[i - 1] in (0, 1)
-        assert rank1(w, i) == p[i]
+        assert p[i] == w.count("1", 0, i)
 
 
 def test_is_prefix_normal_fixtures():
@@ -53,7 +39,7 @@ def test_word_validation():
     with pytest.raises(ValueError):
         is_prefix_normal("10a2")
     with pytest.raises(ValueError):
-        rank1(b"101", 1)
+        is_prefix_normal(b"101")
 
 
 def test_two_formulations_agree_up_to_14():

@@ -1,0 +1,106 @@
+"""The compiled counting walk (`_kernel.c`), built on first use.
+
+`load()` compiles the C file with the system's `cc` into a private cache
+directory ($XDG_CACHE_HOME/prefixnormal, else ~/.cache/prefixnormal, mode
+0700), under a name keyed by a hash of the source, the flags and the
+machine, and loads it with ctypes.  It returns None when there is no
+compiler or the build or load fails; the caller then counts in Python.
+Nothing here runs at import time.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import shutil
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_FLAGS = ("-O2", "-shared", "-fPIC")
+# Steps per native call, about 8 ms of work: Python handles Ctrl-C and
+# other signals only between calls.
+_BUDGET = 1 << 20
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        # Unset, empty or relative; the XDG spec says to ignore a relative path.
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(root):
+        raise OSError("no home directory for the kernel cache")
+    path = Path(root, "prefixnormal")
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = path.stat()
+    # A directory that someone else owns or can write to could hold a
+    # library that is not ours.
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"{path} is not private to this user")
+    return path
+
+
+def _build():
+    import ctypes
+    import tempfile
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    # zlib is already loaded, where hashlib would load OpenSSL (3.5 MB of
+    # resident memory); the key only tells our own builds apart.
+    key = zlib.crc32(b"\0".join(
+        [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), sys.platform.encode(),
+         os.uname().machine.encode()]
+    ))
+    cache = _cache_dir()
+    lib = cache / f"kernel-{key:08x}.so"
+    if not lib.exists():
+        # Built under a temporary name and renamed, so that a process that
+        # builds at the same time never loads a half-written file.
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_FLAGS, "-o", tmp, str(_SOURCE)], check=True,
+                           stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL, timeout=120)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(lib)).pn_count
+    c_int_p = ctypes.POINTER(ctypes.c_int)
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, c_int_p, c_int_p, c_int_p,
+                   ctypes.POINTER(ctypes.c_uint64), ctypes.c_uint64]
+    fn.restype = ctypes.c_int
+
+    def count(a: list[int], n: int) -> int:
+        """Words in the subtree of the node whose 1s sit at `a`, as
+        generate._count_run counts them; needs 2 <= len(a) and n < 64."""
+        if not (2 <= len(a) and 0 < a[0] and a[-1] <= n < 64):
+            raise ValueError("the kernel counts only nodes with two or more 1s and n < 64")
+        pos = (ctypes.c_int * n)(*a)
+        frames = (ctypes.c_int * (4 * (n + 1)))()
+        k = ctypes.c_int(len(a))
+        total = ctypes.c_uint64(0)
+        while not fn(n, len(a), pos, frames, k, total, _BUDGET):
+            pass
+        return total.value
+
+    return count
+
+
+@functools.cache
+def load():
+    """The native count function, or None when it cannot be built here.
+
+    The first call builds and loads the library; later calls return the
+    same result.
+    """
+    try:
+        return _build()
+    # AttributeError: no os.uname, or a library without pn_count.
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None

@@ -5,7 +5,8 @@ Words stream to stdout, one per line; diagnostics go to stderr.  Exit codes:
 0 success (or a true answer), 1 a false answer from `check`/`oracle` or
 stdout closed by its reader before the output ended (as in `gen ... | head`;
 no traceback is printed), 2 usage or input error, 3 a resource limit was hit
-(a scan cap, or the interpreter's recursion limit in a counting walk).
+(a scan cap, or the interpreter's recursion limit in the Python counting
+walk, which counts for n > 63).
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The counting walk recurses once per 1 it adds, so a large enough n
-        # runs out of interpreter stack.
+        # The Python counting walk, which counts for n > 63, recurses once
+        # per 1 it adds, so a large enough n runs out of interpreter stack.
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

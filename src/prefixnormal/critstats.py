@@ -12,6 +12,7 @@ along the diagonals s + t, with the all-zero word added to bin n.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 from .generate import DEFAULT_GEN_CAP, Order, _count, generate_pn
@@ -112,8 +113,9 @@ class CountsTable:
 def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTable:
     """Fill the (s, t) count matrix for s in 1..s_max, t in 0..t_max.
 
-    Cells are independent; with jobs > 1 they are fanned out across worker
-    processes.
+    Cells are independent; with jobs > 1 they are fanned out across at most
+    `jobs` worker processes, and no more than there are cells or CPUs this
+    process may run on.
     """
     if s_max < 1 or t_max < 1:
         raise ValueError("s_max and t_max must be >= 1")
@@ -122,12 +124,18 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTab
     s_values = tuple(range(1, s_max + 1))
     t_values = tuple(range(0, t_max + 1))
     keys = [(s, t) for s in s_values for t in t_values]
-    if jobs > 1:
+    # A pool starts all its workers at once, so the request is capped.
+    workers = min(jobs, len(keys), _cpus())
+    if workers > 1:
         # Imported here: it loads multiprocessing, threading and logging, which
         # nothing else in the package needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from . import _kernel
+
+        # Built before the fork, so that forked workers inherit it.
+        _kernel.load()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_cell, [(n, s, t) for s, t in keys], chunksize=8))
         cells = dict(zip(keys, counts))
     else:
@@ -137,6 +145,13 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTab
 
 def _cell(args: tuple[int, int, int]) -> int:
     return critset_count(*args)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ listing is a thin shell over that walk; the full listings put 0^n and
 
 Only listings yield words.  Counts come from a second, smaller walk over
 the positions of the 1s alone that adds a whole run of n - r + 1 words in
-one step and descends only into the flip children.
+one step and descends only into the flip children.  For n < 64 a C copy
+of that walk (`_kernel`), compiled on first use, counts instead when a C
+compiler is present.
 """
 
 from __future__ import annotations
@@ -123,8 +125,20 @@ def _walk(seed: str, order: Order, counter: OpCounter | None = None):
 def _count(seed: str) -> int:
     """Number of words in the tree rooted at `seed`, without yielding any.
     Same precondition as _walk; only the positions of the 1s are used.
+
+    For n < 64, where every count fits 64 bits, the compiled kernel
+    (`_kernel.load`) counts when it can be built; `_count_run` counts
+    otherwise and stays the reference.
     """
-    return _count_run([i for i, ch in enumerate(seed, 1) if ch == "1"], len(seed))
+    a = [i for i, ch in enumerate(seed, 1) if ch == "1"]
+    n = len(seed)
+    if n < 64:
+        from . import _kernel
+
+        kernel = _kernel.load()
+        if kernel is not None:
+            return kernel(a, n)
+    return _count_run(a, n)
 
 
 def _count_run(a: list[int], n: int) -> int:
@@ -136,6 +150,7 @@ def _count_run(a: list[int], n: int) -> int:
     by recursion on `a` with its position appended (depth at most the
     number of 1s); one at n is a single leaf, counted without recursion.
     The run moves a's last entry in place; the caller pops or drops it.
+    This is the reference the compiled kernel is tested against.
     """
     rest, second, end, _ = _run(a, n)
     total = n - a[-1] + 1

@@ -295,8 +295,8 @@ def test_extend_bad_seed():
 
 
 def test_recursion_limit_exit_3():
-    # The counting walk recurses once per 1 it adds; n = 1000 exceeds the
-    # interpreter's recursion limit.
+    # Above n = 63 the Python counting walk counts; it recurses once per 1
+    # it adds, and n = 1000 exceeds the interpreter's recursion limit.
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
         code = cli.main(["gen", "-n", "1000", "--cap", "1000", "--count-only"])

@@ -18,7 +18,7 @@ from prefixnormal import (
     min_flip,
     oracle_enumerate,
 )
-from prefixnormal.generate import _count
+from prefixnormal.generate import _count, _count_run
 
 from helpers import pn_def_set, reference_inorder, reference_postorder
 
@@ -202,6 +202,8 @@ def test_count_matches_the_walk():
         for w in oracle_enumerate(n):
             if w.count("1") >= 2:
                 assert _count(w) == sum(1 for _ in iter_pn(w)), w
+                a = [i for i, ch in enumerate(w, 1) if ch == "1"]
+                assert _count_run(a, n) == _count(w), w
 
 
 def test_counter_monotone_and_positive():

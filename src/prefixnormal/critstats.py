@@ -6,18 +6,17 @@ without touching the rest of the language, and counted by the generator's
 counting walk without building a single word.  These classes partition
 every nonzero word, so class sizes are the only counting path: the (s, t)
 table lists them, and the histogram of critical prefix lengths folds them
-along the diagonals s + t, with the all-zero word added to bin n.
+along the diagonals s + t, with the all-zero word added to bin n.  Both
+count every class in the calling process; no worker is ever started.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 from .generate import DEFAULT_GEN_CAP, Order, _count, generate_pn
 from .ops import flip, min_flip
-from .words import is_prefix_normal
 
 
 def _class_root(n: int, s: int, t: int) -> tuple[str | None, str | None]:
@@ -41,9 +40,10 @@ def _class_root(n: int, s: int, t: int) -> tuple[str | None, str | None]:
         # With symbols left over, the next one would be a 1 and the leading
         # 1-run would be longer than s.
         return None, None
+    # Prefix normal by construction (t >= 1): a factor that reaches the lone
+    # 1 from the leading run spans the t zeros, so it never holds more 1s
+    # than the prefix of its length.
     seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
-    if not is_prefix_normal(seed):
-        raise RuntimeError(f"internal invariant broken: {seed} should be prefix normal")
     phi = min_flip(seed, validate=False)
     return seed, flip(seed, phi) if phi <= n else None
 
@@ -113,9 +113,9 @@ class CountsTable:
 def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTable:
     """Fill the (s, t) count matrix for s in 1..s_max, t in 0..t_max.
 
-    Cells are independent; with jobs > 1 they are fanned out across at most
-    `jobs` worker processes, and no more than there are cells or CPUs this
-    process may run on.
+    Every cell is counted in the calling process.  `jobs` is accepted for
+    compatibility and must be >= 1; it starts no workers, because with the
+    compiled counting kernel a process pool costs more than it saves.
     """
     if s_max < 1 or t_max < 1:
         raise ValueError("s_max and t_max must be >= 1")
@@ -123,35 +123,8 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTab
         raise ValueError("jobs must be >= 1")
     s_values = tuple(range(1, s_max + 1))
     t_values = tuple(range(0, t_max + 1))
-    keys = [(s, t) for s in s_values for t in t_values]
-    # A pool starts all its workers at once, so the request is capped.
-    workers = min(jobs, len(keys), _cpus())
-    if workers > 1:
-        # Imported here: it loads multiprocessing, threading and logging, which
-        # nothing else in the package needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        from . import _kernel
-
-        # Built before the fork, so that forked workers inherit it.
-        _kernel.load()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_cell, [(n, s, t) for s, t in keys], chunksize=8))
-        cells = dict(zip(keys, counts))
-    else:
-        cells = {(s, t): critset_count(n, s, t) for s, t in keys}
+    cells = {(s, t): critset_count(n, s, t) for s in s_values for t in t_values}
     return CountsTable(n=n, s_values=s_values, t_values=t_values, cells=cells)
-
-
-def _cell(args: tuple[int, int, int]) -> int:
-    return critset_count(*args)
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

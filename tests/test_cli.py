@@ -182,6 +182,20 @@ def test_table_csv_and_jobs_determinism():
     assert "jobs" in res.stderr and res.stdout == ""
 
 
+def test_table_counts_in_one_process():
+    # Any --jobs is accepted, but no worker pool machinery is even imported.
+    probe = (
+        "import sys\n"
+        "from prefixnormal import cli\n"
+        "code = cli.main(['table', '-n', '21', '--jobs', '2'])\n"
+        "pools = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "print(code, sorted(pools), file=sys.stderr)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.stderr == "0 []\n"
+    assert res.stdout.splitlines()[0].startswith("s\\t,0,1,")
+
+
 def test_table_json():
     res = run("table", "-n", "8", "--s-max", "2", "--t-max", "2", "--format", "json")
     payload = json.loads(res.stdout)
@@ -370,15 +384,14 @@ _VALUE = st.integers(0, 9).flatmap(lambda kind: (
     st.sampled_from(["x", "1.5", "", "07", "-0"])))
 _N = st.integers(-2, 10).map(str)
 _WORD = st.one_of(st.text(alphabet="01", max_size=8), st.text(alphabet="01x", max_size=8))
-# Each command's flags and the values they draw; --jobs stays within 1-2, so
-# no call starts more than two workers.
+# Each command's flags and the values they draw.
 _LISTING = {"--order": st.sampled_from(["lex", "gray", "up"]), "--count-only": None,
             "--format": st.sampled_from(["plain", "csv", "json", "xml"])}
 _COMMANDS = {
     "gen": ([], {"-n": _N, "--cap": _VALUE, **_LISTING}),
     "critset": ([], {"-n": _N, "-s": _VALUE, "-t": _VALUE, "--cap": _VALUE, **_LISTING}),
     "table": ([], {"-n": _N, "--cap": _VALUE, "--s-max": _VALUE, "--t-max": _VALUE,
-                   "--jobs": st.sampled_from(["1", "2"]),
+                   "--jobs": _VALUE,
                    "--format": st.sampled_from(["csv", "json", "plain"])}),
     "hist": ([], {"-n": _N, "--cap": _VALUE, "--format": st.sampled_from(["csv", "json", "plain"])}),
     "check": ([_WORD], {}),

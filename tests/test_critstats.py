@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -12,8 +11,10 @@ from prefixnormal import (
     critset_count,
     critset_table,
     hamming,
+    is_prefix_normal,
     oracle_enumerate,
 )
+from prefixnormal.critstats import _class_root
 
 
 def collect(n, s, t, order=Order.LEX):
@@ -47,6 +48,17 @@ def test_invalid_queries():
         collect(8, 1, -1)
     with pytest.raises(ValueError):
         critset_count(8, 0, 1)
+
+
+def test_class_seeds_are_prefix_normal():
+    # _class_root builds the seed 1^s 0^t 1 0^(n-s-t-1) without checking it;
+    # the quadratic oracle checks every such seed here instead.
+    for n in range(3, 41):
+        for s in range(1, n - 1):
+            for t in range(1, n - s):
+                seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
+                assert _class_root(n, s, t)[0] == seed
+                assert is_prefix_normal(seed), seed
 
 
 def test_spot_count():
@@ -118,37 +130,6 @@ def test_table_parallel_matches_sequential():
     seq = critset_table(8, 4, 5)
     par = critset_table(8, 4, 5, jobs=2)
     assert seq == par
-
-
-def test_table_pool_is_capped(monkeypatch):
-    # A pool starts all its workers at once, so jobs=100000 must not ask
-    # for 100000 processes.  No real pool is started here.
-    import concurrent.futures
-
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    seq = critset_table(8, 4, 5)
-    for cpus, s_max, t_max, size in ((3, 4, 5, 3), (64, 1, 2, 3), (1, 4, 5, None)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        sizes.clear()
-        table = critset_table(8, s_max, t_max, jobs=100000)
-        assert sizes == ([size] if size else []), (cpus, s_max, t_max)
-        assert table.cells == {k: seq.cells[k] for k in table.cells}
 
 
 def test_table_covers_language_with_the_two_singletons():

@@ -1,8 +1,8 @@
 """The complete 7 x 32 critical-prefix class matrix at n=32.
 
-With the compiled counting kernel it takes under a second on 2 CPUs and
-runs by default.  Without the kernel it is skipped, because the Python
-walk takes about a minute and a half (90-100 s measured); set
+With the compiled counting kernel it takes under a second and runs by
+default.  Without the kernel it is skipped, because the serial Python walk
+takes almost two minutes (109 s measured once, Python 3.11, 2 CPUs); set
 PREFIXNORMAL_EXTENDED=1 to run it on the Python walk anyway.
 """
 
@@ -42,8 +42,7 @@ def test_full_class_matrix_n32():
     if not os.environ.get("PREFIXNORMAL_EXTENDED") and _kernel.load() is None:
         pytest.skip("no counting kernel; set PREFIXNORMAL_EXTENDED=1 to run "
                     "the full n=32 matrix on the Python walk")
-    jobs = os.cpu_count() or 1
-    table = critset_table(32, 7, 32, jobs=min(jobs, 4))
+    table = critset_table(32, 7, 32)
     mismatches = [
         (s, t, FULL_MATRIX_N32[s][t - 1], table.cells[s, t])
         for s in range(1, 8)

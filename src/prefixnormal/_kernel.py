@@ -1,10 +1,10 @@
-"""The compiled counting walk (`_kernel.c`), built on first use.
+"""The compiled walk (`_kernel.c`) that lists and counts, built on first use.
 
 `load()` compiles the C file with the system's `cc` into a private cache
 directory ($XDG_CACHE_HOME/prefixnormal, else ~/.cache/prefixnormal, mode
 0700), under a name keyed by a hash of the source, the flags and the
 machine, and loads it with ctypes.  It returns None when there is no
-compiler or the build or load fails; the caller then counts in Python.
+compiler or the build or load fails; the caller then walks in Python.
 Nothing here runs at import time.
 """
 
@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import zlib
+from collections import namedtuple
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -23,6 +24,12 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # Steps per native call, about 8 ms of work: Python handles Ctrl-C and
 # other signals only between calls.
 _BUDGET = 1 << 20
+# Bytes of lines per native call of the lister.  A listing holds about
+# three chunks at a time (the buffer, the str being written and the next
+# one), so this bounds its memory.
+_CHUNK = 1 << 14
+
+Kernel = namedtuple("Kernel", "count lines")
 
 
 def _cache_dir() -> Path:
@@ -70,37 +77,72 @@ def _build():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = ctypes.CDLL(str(lib)).pn_count
+    native = ctypes.CDLL(str(lib))
     c_int_p = ctypes.POINTER(ctypes.c_int)
-    fn.argtypes = [ctypes.c_int, ctypes.c_int, c_int_p, c_int_p, c_int_p,
-                   ctypes.POINTER(ctypes.c_uint64), ctypes.c_uint64]
-    fn.restype = ctypes.c_int
+    c_count = native.pn_count
+    c_count.argtypes = [ctypes.c_int, ctypes.c_int, c_int_p, c_int_p, c_int_p,
+                        ctypes.POINTER(ctypes.c_uint64), ctypes.c_uint64]
+    c_count.restype = ctypes.c_int
+    c_list = native.pn_list
+    c_list.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, c_int_p, c_int_p,
+                       c_int_p, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_size_t,
+                       ctypes.POINTER(ctypes.c_size_t), ctypes.c_uint64]
+    c_list.restype = ctypes.c_int
+
+    def state(a: list[int], n: int):
+        # The positions of the 1s, zeroed frames and the number of 1s.
+        return ((ctypes.c_int * n)(*a), (ctypes.c_int * (4 * (n + 1)))(),
+                ctypes.c_int(len(a)))
 
     def count(a: list[int], n: int) -> int:
         """Words in the subtree of the node whose 1s sit at `a`, as
         generate._count_run counts them; needs 2 <= len(a) and n < 64."""
         if not (2 <= len(a) and 0 < a[0] and a[-1] <= n < 64):
             raise ValueError("the kernel counts only nodes with two or more 1s and n < 64")
-        pos = (ctypes.c_int * n)(*a)
-        frames = (ctypes.c_int * (4 * (n + 1)))()
-        k = ctypes.c_int(len(a))
+        pos, frames, k = state(a, n)
         total = ctypes.c_uint64(0)
-        while not fn(n, len(a), pos, frames, k, total, _BUDGET):
+        while not c_count(n, len(a), pos, frames, k, total, _BUDGET):
             pass
         return total.value
 
-    return count
+    def lines(a: list[int], n: int, lex: bool):
+        """Yield the words of the subtree of the node whose 1s sit at `a`,
+        in the order of generate._walk, as str chunks of whole lines
+        "word\\n"; needs 2 <= len(a)."""
+        if not (2 <= len(a) and 0 < a[0] and a[-1] <= n):
+            raise ValueError("the kernel lists only nodes with two or more 1s")
+        pos, frames, k = state(a, n)
+        # The root's run base: the root with its rightmost 1 cleared.
+        word = ctypes.create_string_buffer(b"0" * n, n)
+        for i in a[:-1]:
+            word[i - 1] = b"1"
+        # A step writes at most two lines.
+        size = max(_CHUNK, 2 * (n + 1))
+        out = ctypes.create_string_buffer(size)
+        view = memoryview(out)
+        used = ctypes.c_size_t(0)
+        while True:
+            done = c_list(n, len(a), lex, pos, frames, k, word, out, size, used, _BUDGET)
+            if used.value:
+                # Decoded straight from the buffer, with no bytes copy.
+                yield str(view[:used.value], "ascii")
+                used.value = 0
+            if done:
+                return
+
+    return Kernel(count, lines)
 
 
 @functools.cache
 def load():
-    """The native count function, or None when it cannot be built here.
+    """The native walk as Kernel(count, lines), or None when it cannot be
+    built here.
 
     The first call builds and loads the library; later calls return the
     same result.
     """
     try:
         return _build()
-    # AttributeError: no os.uname, or a library without pn_count.
+    # AttributeError: no os.uname, or a library without pn_count or pn_list.
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .generate import DEFAULT_GEN_CAP, Order, _count, generate_pn
+from .generate import DEFAULT_GEN_CAP, Order, _count, _lines, generate_pn
 from .ops import flip, min_flip
 
 
@@ -69,6 +69,20 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     return count
 
 
+def _critset_lines(n: int, s: int, t: int, order: Order):
+    """critset's words in its order as text chunks of whole lines, as
+    generate._lines gives them."""
+    seed, root = _class_root(n, s, t)
+    if seed is None:
+        return
+    if order is Order.LEX:
+        yield seed + "\n"
+    if root:
+        yield from _lines(root, order)
+    if order is Order.GRAY:
+        yield seed + "\n"
+
+
 def critset_count(n: int, s: int, t: int) -> int:
     """Size of the class with critical prefix 1^s 0^t among length-n words."""
     seed, root = _class_root(n, s, t)
@@ -117,6 +131,8 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTab
     compatibility and must be >= 1; it starts no workers, because with the
     compiled counting kernel a process pool costs more than it saves.
     """
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
     if s_max < 1 or t_max < 1:
         raise ValueError("s_max and t_max must be >= 1")
     if jobs < 1:

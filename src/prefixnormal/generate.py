@@ -17,16 +17,19 @@ yielded before (LEX) or after (GRAY) its flip child's subtree.  Every
 listing is a thin shell over that walk; the full listings put 0^n and
 10^(n-1) in front of the tree rooted at 110^(n-2).
 
-Only listings yield words.  Counts come from a second, smaller walk over
-the positions of the 1s alone that adds a whole run of n - r + 1 words in
-one step and descends only into the flip children.  For n < 64 a C copy
-of that walk (`_kernel`), compiled on first use, counts instead when a C
-compiler is present.
+Counts build no words: a smaller walk over the positions of the 1s alone
+adds a whole run of n - r + 1 words in one step and descends only into
+the flip children.  One C walk (`_kernel`), compiled on first use when a
+C compiler is present, does both jobs: in one mode it writes the words
+of a listing as lines of text for the CLI's plain and csv output, in the
+other it counts for n < 64.  The Python walks stay the reference and the
+path without a compiler; iterators, visitors and JSON output use them.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 
 from .ops import _run
 from .words import check_word, is_prefix_normal
@@ -70,7 +73,7 @@ def _walk(seed: str, order: Order, counter: OpCounter | None = None):
     n = len(seed)
     ctr = counter
     lex = order is Order.LEX
-    a = [i for i, ch in enumerate(seed, 1) if ch == "1"]
+    a = _ones(seed)
     r = a[-1]
     base = seed[: r - 1] + "0" + seed[r:]
     # Every run starts at or after the root's r, and base[q:] is all 0s
@@ -122,6 +125,28 @@ def _walk(seed: str, order: Order, counter: OpCounter | None = None):
                 yield word
 
 
+def _ones(seed: str) -> list[int]:
+    return [i for i, ch in enumerate(seed, 1) if ch == "1"]
+
+
+def _lines(seed: str, order: Order):
+    """The words of _walk(seed, order) as text, "word\\n" each, in chunks.
+    Same precondition as _walk.
+
+    The compiled walk (`_kernel.load`) writes them when it can be built;
+    otherwise they come from _walk, a few hundred words per chunk.
+    """
+    from . import _kernel
+
+    kernel = _kernel.load()
+    if kernel is not None:
+        yield from kernel.lines(_ones(seed), len(seed), order is Order.LEX)
+        return
+    words = _walk(seed, order)
+    while batch := list(islice(words, 512)):
+        yield "\n".join(batch) + "\n"
+
+
 def _count(seed: str) -> int:
     """Number of words in the tree rooted at `seed`, without yielding any.
     Same precondition as _walk; only the positions of the 1s are used.
@@ -130,14 +155,14 @@ def _count(seed: str) -> int:
     (`_kernel.load`) counts when it can be built; `_count_run` counts
     otherwise and stays the reference.
     """
-    a = [i for i, ch in enumerate(seed, 1) if ch == "1"]
+    a = _ones(seed)
     n = len(seed)
     if n < 64:
         from . import _kernel
 
         kernel = _kernel.load()
         if kernel is not None:
-            return kernel(a, n)
+            return kernel.count(a, n)
     return _count_run(a, n)
 
 
@@ -166,18 +191,31 @@ def _count_run(a: list[int], n: int) -> int:
     return total
 
 
-def _words(n: int, order: Order, counter: OpCounter | None = None):
-    """The walk behind every listing of length n: the all-zero word, the
-    single-1 word, then the tree rooted at 110^(n-2)."""
+def _head(n: int) -> tuple[str, ...]:
+    """The words of length n outside the tree rooted at 110^(n-2): the
+    all-zero word and the single-1 word (just the empty word for n = 0)."""
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    for word in ("0" * n, "1" + "0" * (n - 1)) if n else ("",):
+    return ("0" * n, "1" + "0" * (n - 1)) if n else ("",)
+
+
+def _words(n: int, order: Order, counter: OpCounter | None = None):
+    """The walk behind every listing of length n: _head(n), then the tree
+    rooted at 110^(n-2)."""
+    for word in _head(n):
         # Words of length <= 1 are emitted without counted work.
         if counter and n > 1:
             counter.add(n)
         yield word
     if n > 1:
         yield from _walk("11" + "0" * (n - 2), order, counter)
+
+
+def _all_lines(n: int, order: Order):
+    """_words(n, order) as text chunks of whole lines, as _lines gives them."""
+    yield "".join(word + "\n" for word in _head(n))
+    if n > 1:
+        yield from _lines("11" + "0" * (n - 2), order)
 
 
 def _checked_seed(seed: str) -> str:

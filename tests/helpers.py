@@ -1,9 +1,12 @@
 """Shared reference implementations for the test suite.
 
 Everything here is independent of the package's optimized code paths; the
-tests use these as cross-checks.
+tests use these as cross-checks.  `run_in_process` is the one harness: it
+calls the CLI in this process and captures what it writes.
 """
 
+import contextlib
+import io
 import json
 from collections import deque
 from math import comb
@@ -13,6 +16,7 @@ from prefixnormal import (
     ExtensionReport,
     ScanCapExceeded,
     bubble,
+    cli,
     density_profile,
     extend_stream,
     flip,
@@ -288,3 +292,11 @@ def reference_detect_period(w: str, scan_cap: int | None = None) -> ExtensionRep
         scanned_length=len(v),
         checks=checks,
     )
+
+
+def run_in_process(*args):
+    """(exit code, stdout) of the CLI called in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in args])
+    return code, out.getvalue()

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from prefixnormal import Order, cli, critset, extend_min, hamming, iter_all
 
-from helpers import reference_emit_words, reference_extend_stream, seeds_ending_in_one
+from helpers import (
+    reference_emit_words,
+    reference_extend_stream,
+    run_in_process,
+    seeds_ending_in_one,
+)
 
 CMD = [sys.executable, "-m", "prefixnormal"]
 
@@ -24,14 +29,6 @@ def run(*args, env_extra=None, timeout=None):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
-
-
-def run_in_process(*args):
-    """(exit code, stdout) of the CLI called in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([str(a) for a in args])
-    return code, out.getvalue()
 
 
 class _Discard:
@@ -180,6 +177,13 @@ def test_table_csv_and_jobs_determinism():
     res = run("table", "-n", "10", "--jobs", "0")
     assert res.returncode == 2
     assert "jobs" in res.stderr and res.stdout == ""
+
+
+def test_table_negative_length():
+    # The length is checked before the table's bounds.
+    res = run("table", "-n", "-2")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: word length must be nonnegative\n"
 
 
 def test_table_counts_in_one_process():

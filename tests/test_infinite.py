@@ -15,6 +15,7 @@ from prefixnormal import (
     extend_min,
     extend_stream,
     is_prefix_normal,
+    iter_all,
     prefix_counts,
     stream_prefix,
 )
@@ -266,6 +267,32 @@ def test_detect_period_certifies_long_seeds():
         probe = len(rep.preperiod) + 3 * len(rep.period) + len(seed)
         rebuilt = rep.preperiod + rep.period * (probe // len(rep.period) + 1)
         assert rebuilt[:probe] == stream_prefix(seed, probe), seed
+
+
+# The longest canonical preperiod over all prefix normal seeds of length n
+# ending in 1, for n = 8 .. 16, from an exhaustive sweep.
+WORST_PREPERIOD = [8, 15, 19, 27, 34, 43, 53, 63, 76]
+
+
+def test_worst_preperiod_up_to_16():
+    worst = [max(len(detect_period(w).preperiod) for w in iter_all(n) if w.endswith("1"))
+             for n in range(8, 17)]
+    assert worst == WORST_PREPERIOD
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 20, 50, 100, 200])
+def test_worst_preperiod_family_even(n):
+    # The maximum for every even n of the sweep, (n^2 - 7n + 8)/2: far
+    # below the paper's bound, which grows like C(iota, kappa).
+    w = "111" + "01" * ((n - 8) // 2) + "00101"
+    assert len(detect_period(w).preperiod) == (n * n - 7 * n + 8) // 2
+
+
+@pytest.mark.parametrize("n", [9, 11, 17, 21, 51, 101, 199])
+def test_worst_preperiod_family_odd(n):
+    # The maximum for every odd n >= 9 of the sweep, (n^2 - 8n + 21)/2.
+    w = "11" + "01" * ((n - 7) // 2) + "00101"
+    assert len(detect_period(w).preperiod) == (n * n - 8 * n + 21) // 2
 
 
 def test_detect_period_decomposition_reconstructs_stream():

@@ -1,5 +1,5 @@
-"""The compiled counting kernel against the Python counting walk, and the
-Python fallback when the kernel is missing."""
+"""The compiled walk against the Python walks, in both of its modes
+(listing and counting), and the Python fallback when it is missing."""
 
 import shutil
 import signal
@@ -7,13 +7,16 @@ import stat
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import pytest
 
-from prefixnormal import _kernel, count_pn, critset_count, critset_table, oracle_enumerate
-from prefixnormal import generate
+from prefixnormal import Order, _kernel, count_pn, critset_count, critset_table
+from prefixnormal import generate, oracle_enumerate
 from prefixnormal.critstats import _class_root
-from prefixnormal.generate import _count, _count_run
+from prefixnormal.generate import _count, _count_run, _walk
+
+from helpers import run_in_process
 
 # count_pn(n) for n = 0 .. 21 (OEIS A194850).
 COUNTS = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185,
@@ -26,11 +29,25 @@ def ones(w):
     return [i for i, ch in enumerate(w, 1) if ch == "1"]
 
 
-def kernel():
+def native():
     k = _kernel.load()
     if k is None:
-        pytest.skip("no counting kernel on this machine")
+        pytest.skip("no compiled walk on this machine")
     return k
+
+
+def kernel():
+    return native().count
+
+
+def walk_lines(root, order):
+    return "".join(w + "\n" for w in _walk(root, order))
+
+
+def kernel_lines(root, order):
+    chunks = list(native().lines(ones(root), len(root), order is Order.LEX))
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    return "".join(chunks)
 
 
 def roots(n):
@@ -72,6 +89,43 @@ def test_kernel_refuses_what_it_cannot_count():
     for a, n in (([1], 5), ([1, 2], 64), ([0, 2], 5), ([1, 6], 5)):
         with pytest.raises(ValueError):
             count(a, n)
+    for a, n in (([1], 5), ([0, 2], 5), ([1, 6], 5)):
+        with pytest.raises(ValueError):
+            next(native().lines(a, n, True))
+
+
+def test_kernel_lines_equal_the_python_walk():
+    for order in Order:
+        for n in range(2, 19):
+            root = "11" + "0" * (n - 2)
+            assert kernel_lines(root, order) == walk_lines(root, order), (n, order)
+        for n in range(2, 15):
+            for root in roots(n):
+                assert kernel_lines(root, order) == walk_lines(root, order), (root, order)
+
+
+def test_kernel_lists_long_words():
+    # No length limit, unlike counting: the first chunk at n = 200 is the
+    # start of the Python walk's listing.
+    root = "11" + "0" * 198
+    for order in Order:
+        chunk = next(native().lines(ones(root), 200, order is Order.LEX))
+        words = chunk.splitlines()
+        assert len(chunk) <= _kernel._CHUNK
+        assert words == list(islice(_walk(root, order), len(words))), order
+
+
+def test_kernel_lister_resumes_after_any_budget(monkeypatch):
+    native()
+    # The smallest buffer: room for one step's two lines.
+    monkeypatch.setattr(_kernel, "_CHUNK", 0)
+    for budget in (1, 2, 3, 7):
+        monkeypatch.setattr(_kernel, "_BUDGET", budget)
+        for n in range(2, 11):
+            for w in oracle_enumerate(n):
+                if w.count("1") >= 2:
+                    for order in Order:
+                        assert kernel_lines(w, order) == walk_lines(w, order), (budget, w)
 
 
 def test_long_words_count_in_python(monkeypatch):
@@ -102,17 +156,38 @@ def test_python_fallback_without_the_kernel(monkeypatch):
     assert calls
 
 
+def test_word_output_without_the_kernel(monkeypatch):
+    # The CLI's plain and csv output from the Python walk, byte for byte.
+    native()
+    queries = [("gen", "-n", n) for n in range(-1, 15)]
+    queries += [("critset", "-n", n, "-s", s, "-t", t)
+                for n in range(12) for s in range(n + 2) for t in range(-1, n - s + 2)]
+    queries = [(*q, "--order", order.value, "--format", fmt)
+               for q in queries for order in Order for fmt in ("plain", "csv")]
+    compiled = [run_in_process(*q) for q in queries]
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert [run_in_process(*q) for q in queries] == compiled
+
+
+def test_cli_import_leaves_the_kernel_out():
+    # The kernel, and the compiler it may start, load on first use only.
+    code = ("import sys, prefixnormal.cli; "
+            "print('prefixnormal._kernel' in sys.modules, 'subprocess' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "False False\n"), res.stderr
+
+
 def test_build_into_a_private_cache(tmp_path, monkeypatch):
     kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    count = _kernel._build()
+    count = _kernel._build().count
     assert count(ones("11" + "0" * 19), 21) == COUNTS[21] - 2
     cache = tmp_path / "prefixnormal"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]
     # A second build loads the cached library without compiling again.
     monkeypatch.setattr(shutil, "which", lambda name: "/nonexistent/cc")
-    assert _kernel._build()(ones("11" + "0" * 19), 21) == COUNTS[21] - 2
+    assert _kernel._build().count(ones("11" + "0" * 19), 21) == COUNTS[21] - 2
 
 
 def test_shared_cache_is_refused(tmp_path, monkeypatch):

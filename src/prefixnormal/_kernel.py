@@ -24,10 +24,10 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # Steps per native call, about 8 ms of work: Python handles Ctrl-C and
 # other signals only between calls.
 _BUDGET = 1 << 20
-# Bytes of lines per native call of the lister.  A listing holds about
-# three chunks at a time (the buffer, the str being written and the next
-# one), so this bounds its memory.
-_CHUNK = 1 << 14
+# Bytes of lines per native call of the lister.  A listing holds the
+# buffer, the chunk decoded from it and that chunk's words as separate
+# strs (about 3.5 times the chunk at n = 18), so this bounds its memory.
+_CHUNK = 1 << 13
 
 Kernel = namedtuple("Kernel", "count lines")
 

@@ -16,14 +16,8 @@ import json
 import os
 import sys
 
-from .critstats import (
-    _critset_lines,
-    critical_prefix_histogram,
-    critset,
-    critset_count,
-    critset_table,
-)
-from .generate import DEFAULT_GEN_CAP, Order, _all_lines, count_pn, generate_all, iter_all
+from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
+from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all, iter_all
 from .infinite import ScanCapExceeded, density_profile, detect_period, extend_stream
 from .ops import min_flip
 from .words import (
@@ -70,36 +64,37 @@ def _order(args) -> Order:
     return Order.LEX if args.order == "lex" else Order.GRAY
 
 
-def _emit_words(args, lines, walk, count) -> None:
-    """Print `count()`, or write the words in `args.format`: plain and csv
-    as the text chunks that `lines()` yields, JSON one word at a time as
-    `walk(visit)` visits them.
+def _emit_words(args, walk, count) -> None:
+    """Print `count()`, or stream the words that `walk(visit)` visits one at
+    a time in `args.format`.
 
-    JSON's "count" field, from `count()`, precedes the words.  All three
-    callables reject bad arguments before their first word, and a header
-    is written with the first word, so a rejected query writes nothing.
+    JSON's "count" field, from `count()`, precedes the words.  Both callables
+    reject bad arguments before their first word, and a header is written
+    with the first word, so a rejected query writes nothing.
     """
     if args.count_only:
         print(count())
         return
     write = sys.stdout.write
-    if args.format != "json":
-        chunks = lines()
-        write(("word\n" if args.format == "csv" else "") + next(chunks, ""))
-        for chunk in chunks:
-            write(chunk)
+    if args.format == "plain":
+        walk(lambda word: write(word + "\n"))
         return
-    # The layout of json.dumps({"count": ..., "words": [...]}).
-    head = lead = f'{{"count": {count()}, "words": ['
+    # Written before the first word, between words, around each word, last.
+    if args.format == "csv":
+        head, sep, left, right, end = "word\n", "", "", "\n", ""
+    else:
+        # The layout of json.dumps({"count": ..., "words": [...]}).
+        head, sep, left, right, end = f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n"
+    lead = head
 
     def visit(word: str) -> None:
         nonlocal lead
-        write(lead + '"' + word + '"')
-        lead = ", "
+        write(lead + left + word + right)
+        lead = sep
 
     if not walk(visit):
         write(head)
-    write("]}\n")
+    write(end)
 
 
 def _emit_report(report, fmt: str) -> None:
@@ -107,15 +102,13 @@ def _emit_report(report, fmt: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    _emit_words(args, lambda: _all_lines(args.n, _order(args)),
-                lambda visit: generate_all(args.n, visit, _order(args)),
+    _emit_words(args, lambda visit: generate_all(args.n, visit, _order(args)),
                 lambda: count_pn(args.n, cap=args.cap))
     return 0
 
 
 def cmd_critset(args) -> int:
-    _emit_words(args, lambda: _critset_lines(args.n, args.s, args.t, _order(args)),
-                lambda visit: critset(args.n, args.s, args.t, visit, _order(args)),
+    _emit_words(args, lambda visit: critset(args.n, args.s, args.t, visit, _order(args)),
                 lambda: critset_count(args.n, args.s, args.t))
     return 0
 

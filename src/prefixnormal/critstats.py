@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .generate import DEFAULT_GEN_CAP, Order, _count, _lines, generate_pn
+from .generate import DEFAULT_GEN_CAP, Order, _count, generate_pn
 from .ops import flip, min_flip
 
 
@@ -67,20 +67,6 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     if order is Order.GRAY:
         visit(seed)
     return count
-
-
-def _critset_lines(n: int, s: int, t: int, order: Order):
-    """critset's words in its order as text chunks of whole lines, as
-    generate._lines gives them."""
-    seed, root = _class_root(n, s, t)
-    if seed is None:
-        return
-    if order is Order.LEX:
-        yield seed + "\n"
-    if root:
-        yield from _lines(root, order)
-    if order is Order.GRAY:
-        yield seed + "\n"
 
 
 def critset_count(n: int, s: int, t: int) -> int:

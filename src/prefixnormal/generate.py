@@ -21,15 +21,16 @@ Counts build no words: a smaller walk over the positions of the 1s alone
 adds a whole run of n - r + 1 words in one step and descends only into
 the flip children.  One C walk (`_kernel`), compiled on first use when a
 C compiler is present, does both jobs: in one mode it writes the words
-of a listing as lines of text for the CLI's plain and csv output, in the
-other it counts for n < 64.  The Python walks stay the reference and the
-path without a compiler; iterators, visitors and JSON output use them.
+of every listing as lines of text, which `_tree` splits into words for
+the iterators, the visitors and the CLI; in the other it counts for
+n < 64.  The Python walks stay the reference, the path without a
+compiler, and the listing walk also the one an OpCounter is charged on.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import islice
+from itertools import chain
 
 from .ops import _run
 from .words import check_word, is_prefix_normal
@@ -129,22 +130,21 @@ def _ones(seed: str) -> list[int]:
     return [i for i, ch in enumerate(seed, 1) if ch == "1"]
 
 
-def _lines(seed: str, order: Order):
-    """The words of _walk(seed, order) as text, "word\\n" each, in chunks.
-    Same precondition as _walk.
+def _tree(seed: str, order: Order, counter: OpCounter | None = None):
+    """The words of _walk(seed, order, counter), from the compiled walk
+    (`_kernel.load`) when it can be built and no counter is charged.
 
-    The compiled walk (`_kernel.load`) writes them when it can be built;
-    otherwise they come from _walk, a few hundred words per chunk.
+    The kernel writes them as lines of text, a chunk at a time; _walk, the
+    reference, yields them otherwise.  Same precondition as _walk.
     """
-    from . import _kernel
+    if counter is None:
+        from . import _kernel
 
-    kernel = _kernel.load()
-    if kernel is not None:
-        yield from kernel.lines(_ones(seed), len(seed), order is Order.LEX)
-        return
-    words = _walk(seed, order)
-    while batch := list(islice(words, 512)):
-        yield "\n".join(batch) + "\n"
+        kernel = _kernel.load()
+        if kernel is not None:
+            return chain.from_iterable(map(str.splitlines, kernel.lines(
+                _ones(seed), len(seed), order is Order.LEX)))
+    return _walk(seed, order, counter)
 
 
 def _count(seed: str) -> int:
@@ -208,14 +208,7 @@ def _words(n: int, order: Order, counter: OpCounter | None = None):
             counter.add(n)
         yield word
     if n > 1:
-        yield from _walk("11" + "0" * (n - 2), order, counter)
-
-
-def _all_lines(n: int, order: Order):
-    """_words(n, order) as text chunks of whole lines, as _lines gives them."""
-    yield "".join(word + "\n" for word in _head(n))
-    if n > 1:
-        yield from _lines("11" + "0" * (n - 2), order)
+        yield from _tree("11" + "0" * (n - 2), order, counter)
 
 
 def _checked_seed(seed: str) -> str:
@@ -245,12 +238,12 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX, *,
     itself.  The visitor receives each word as a str.  Returns the visit
     count.
     """
-    return _visit_each(_walk(_checked_seed(seed), order, counter), visit)
+    return _visit_each(_tree(_checked_seed(seed), order, counter), visit)
 
 
 def iter_pn(seed: str, order: Order = Order.LEX):
     """Pull-iterator version of generate_pn: yields each word as a str."""
-    return _walk(_checked_seed(seed), order)
+    return _tree(_checked_seed(seed), order)
 
 
 def generate_all(n: int, visit, order: Order = Order.LEX, *,

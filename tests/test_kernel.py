@@ -1,5 +1,6 @@
 """The compiled walk against the Python walks, in both of its modes
-(listing and counting), and the Python fallback when it is missing."""
+(listing and counting), the listings that go through it, and the Python
+fallback when it is missing."""
 
 import shutil
 import signal
@@ -11,8 +12,9 @@ from itertools import islice
 
 import pytest
 
-from prefixnormal import Order, _kernel, count_pn, critset_count, critset_table
-from prefixnormal import generate, oracle_enumerate
+from prefixnormal import (OpCounter, Order, _kernel, count_pn, critset_count, critset_table,
+                          generate, generate_all, generate_pn, iter_all, iter_pn,
+                          oracle_enumerate)
 from prefixnormal.critstats import _class_root
 from prefixnormal.generate import _count, _count_run, _walk
 
@@ -156,14 +158,38 @@ def test_python_fallback_without_the_kernel(monkeypatch):
     assert calls
 
 
+def test_listings_come_from_the_kernel(monkeypatch):
+    # Every listing but one charged to an OpCounter splits the kernel's
+    # lines; the Python walk is not entered.
+    native()
+    want = {order: ["0" * 12, "1" + "0" * 11, *_walk("11" + "0" * 10, order)]
+            for order in Order}
+    seed = "1101" + "0" * 8
+    want_pn = {order: list(_walk(seed, order)) for order in Order}
+
+    def refuse(*args):
+        raise AssertionError("listed by the Python walk")
+
+    monkeypatch.setattr(generate, "_walk", refuse)
+    for order in Order:
+        got = []
+        assert generate_all(12, got.append, order) == len(want[order])
+        assert got == list(iter_all(12, order)) == want[order]
+        got = []
+        assert generate_pn(seed, got.append, order) == len(want_pn[order])
+        assert got == list(iter_pn(seed, order)) == want_pn[order]
+    with pytest.raises(AssertionError, match="Python walk"):
+        generate_all(12, got.append, counter=OpCounter())
+
+
 def test_word_output_without_the_kernel(monkeypatch):
-    # The CLI's plain and csv output from the Python walk, byte for byte.
+    # The CLI's word output from the Python walk, byte for byte.
     native()
     queries = [("gen", "-n", n) for n in range(-1, 15)]
     queries += [("critset", "-n", n, "-s", s, "-t", t)
                 for n in range(12) for s in range(n + 2) for t in range(-1, n - s + 2)]
     queries = [(*q, "--order", order.value, "--format", fmt)
-               for q in queries for order in Order for fmt in ("plain", "csv")]
+               for q in queries for order in Order for fmt in ("plain", "csv", "json")]
     compiled = [run_in_process(*q) for q in queries]
     monkeypatch.setattr(_kernel, "load", lambda: None)
     assert [run_in_process(*q) for q in queries] == compiled

@@ -191,18 +191,12 @@ def _count_run(a: list[int], n: int) -> int:
     return total
 
 
-def _head(n: int) -> tuple[str, ...]:
-    """The words of length n outside the tree rooted at 110^(n-2): the
-    all-zero word and the single-1 word (just the empty word for n = 0)."""
+def _words(n: int, order: Order, counter: OpCounter | None = None):
+    """The walk behind every listing of length n: the all-zero word, the
+    single-1 word, then the tree rooted at 110^(n-2)."""
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    return ("0" * n, "1" + "0" * (n - 1)) if n else ("",)
-
-
-def _words(n: int, order: Order, counter: OpCounter | None = None):
-    """The walk behind every listing of length n: _head(n), then the tree
-    rooted at 110^(n-2)."""
-    for word in _head(n):
+    for word in ("0" * n, "1" + "0" * (n - 1)) if n else ("",):
         # Words of length <= 1 are emitted without counted work.
         if counter and n > 1:
             counter.add(n)

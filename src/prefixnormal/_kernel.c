@@ -14,18 +14,19 @@
  * "word\n" at out + *len.  A step writes at most two lines, and the lister
  * returns before a step when out cannot hold them.  The counter starts a
  * run at its end instead, after adding the run's n - r + 1 nodes, and
- * writes nothing; *total fits 64 bits for n < 64.
+ * writes nothing.  *total gets this call's count alone, at most n + 1 per
+ * step, so it fits 64 bits for any int n and a budget below 2^32.
  *
  * Both stop after about `budget` steps.  They return 0 with their state
- * left in the caller's buffers, so the caller can resume, and 1 when the
- * tree is done.  *k is the number of 1s of the current node, k0 the root's.
+ * left in the caller's buffers, so the caller can resume (and add up the
+ * counts), and 1 when the tree is done.  *k is the number of 1s of the
+ * current node, k0 the root's.
  */
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-/* The line of the run node with base w and its rightmost 1 at q, plus a
- * 1 at j (j == q adds none). */
+/* The line of run base w with 1s at q and j (j == q adds none). */
 static inline char *line(char *p, const char *w, int n, int q, int j)
 {
     memcpy(p, w, n);
@@ -39,10 +40,9 @@ static inline __attribute__((always_inline)) int
 walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t budget,
      uint64_t *total, int lex, char *w, char *out, size_t cap, size_t *len)
 {
-    int kk = *k;
-    uint64_t sum = list ? 0 : *total;
+    int kk = *k, *fr = f + 4 * kk, done = 0;
+    uint64_t sum = 0;
     size_t used = list ? *len : 0, room = 2 * (size_t)(n + 1);
-    int *fr = f + 4 * kk, done = 0;
     for (; budget; budget--) {
         if (list && cap - used < room)
             break;

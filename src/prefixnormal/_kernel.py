@@ -91,26 +91,26 @@ def _build():
 
     def state(a: list[int], n: int):
         # The positions of the 1s, zeroed frames and the number of 1s.
+        if not (2 <= len(a) and 0 < a[0] and a[-1] <= n):
+            raise ValueError("the kernel walks only nodes with two or more 1s")
         return ((ctypes.c_int * n)(*a), (ctypes.c_int * (4 * (n + 1)))(),
                 ctypes.c_int(len(a)))
 
     def count(a: list[int], n: int) -> int:
         """Words in the subtree of the node whose 1s sit at `a`, as
-        generate._count_run counts them; needs 2 <= len(a) and n < 64."""
-        if not (2 <= len(a) and 0 < a[0] and a[-1] <= n < 64):
-            raise ValueError("the kernel counts only nodes with two or more 1s and n < 64")
+        generate._count_run counts them, exact at any n: one native call
+        counts at most _BUDGET * (n + 1), which fits its 64-bit total, and
+        the calls add up here in a Python int."""
         pos, frames, k = state(a, n)
-        total = ctypes.c_uint64(0)
-        while not c_count(n, len(a), pos, frames, k, total, _BUDGET):
-            pass
-        return total.value
+        total, part = 0, ctypes.c_uint64()
+        while not c_count(n, len(a), pos, frames, k, part, _BUDGET):
+            total += part.value
+        return total + part.value
 
     def lines(a: list[int], n: int, lex: bool):
         """Yield the words of the subtree of the node whose 1s sit at `a`,
         in the order of generate._walk, as str chunks of whole lines
         "word\\n"; needs 2 <= len(a)."""
-        if not (2 <= len(a) and 0 < a[0] and a[-1] <= n):
-            raise ValueError("the kernel lists only nodes with two or more 1s")
         pos, frames, k = state(a, n)
         # The root's run base: the root with its rightmost 1 cleared.
         word = ctypes.create_string_buffer(b"0" * n, n)

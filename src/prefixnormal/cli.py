@@ -6,7 +6,7 @@ Words stream to stdout, one per line; diagnostics go to stderr.  Exit codes:
 stdout closed by its reader before the output ended (as in `gen ... | head`;
 no traceback is printed), 2 usage or input error, 3 a resource limit was hit
 (a scan cap, or the interpreter's recursion limit in the Python counting
-walk, which counts for n > 63).
+walk, which counts where no C compiler is found), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .infinite import ScanCapExceeded, density_profile, detect_period, extend_st
 from .ops import min_flip
 from .words import (
     DEFAULT_ORACLE_CAP,
+    _checked_length,
     check_word,
     critical_prefix,
     hamming,
@@ -44,8 +45,8 @@ _CAPS = {
 def _checked_cap(args) -> int:
     """The cap on n from --cap, else the environment, else the default.
 
-    Raises ValueError when n exceeds it or the environment value is not an
-    integer.
+    Raises ValueError when the environment value is not an integer, n
+    exceeds the cap or n is negative.
     """
     env, default = _CAPS[args.cap_kind]
     cap = args.cap
@@ -55,8 +56,7 @@ def _checked_cap(args) -> int:
             cap = default if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if args.n > cap:
-        raise ValueError(f"n={args.n} exceeds the {args.cap_kind} cap ({cap})")
+    _checked_length(args.n, cap, args.cap_kind)
     return cap
 
 
@@ -270,10 +270,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:
-        # The Python counting walk, which counts for n > 63, recurses once
+        # The Python counting walk, used without a compiler, recurses once
         # per 1 it adds, so a large enough n runs out of interpreter stack.
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as a shell reports a process that Ctrl-C ended.
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .generate import DEFAULT_GEN_CAP, Order, _count, generate_pn
+from .generate import DEFAULT_GEN_CAP, Order, _count, _tree, _visit_each
 from .ops import flip, min_flip
+from .words import _checked_length
 
 
 def _class_root(n: int, s: int, t: int) -> tuple[str | None, str | None]:
@@ -26,8 +27,7 @@ def _class_root(n: int, s: int, t: int) -> tuple[str | None, str | None]:
     seed is None for an empty class and root is None when the seed has no
     flip child.  Raises ValueError for a query that denotes no class.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _checked_length(n)
     if s < 1:
         raise ValueError("s must be >= 1; only the all-zero word has s == 0")
     if t < 0:
@@ -62,8 +62,9 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     if order is Order.LEX:
         visit(seed)
     # In post-order the flip subtree ends on its own root, one flipped
-    # position away from the seed word, which comes last.
-    count = 1 + (generate_pn(root, visit, order) if root else 0)
+    # position away from the seed word, which comes last.  The root, a flip
+    # child of a prefix normal seed, is listed without re-checking it.
+    count = 1 + (_visit_each(_tree(root, order), visit) if root else 0)
     if order is Order.GRAY:
         visit(seed)
     return count
@@ -117,8 +118,7 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTab
     compatibility and must be >= 1; it starts no workers, because with the
     compiled counting kernel a process pool costs more than it saves.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _checked_length(n)
     if s_max < 1 or t_max < 1:
         raise ValueError("s_max and t_max must be >= 1")
     if jobs < 1:
@@ -163,11 +163,7 @@ def critical_prefix_histogram(n: int, cap: int | None = None) -> Histogram:
     belongs to no class and lands in bin n (its critical prefix is the whole
     word).
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
-    limit = DEFAULT_GEN_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the enumeration cap ({limit})")
+    _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
     bins = {n: 1}
     for s in range(1, n + 1):
         for t in range(n - s + 1):

@@ -22,8 +22,8 @@ adds a whole run of n - r + 1 words in one step and descends only into
 the flip children.  One C walk (`_kernel`), compiled on first use when a
 C compiler is present, does both jobs: in one mode it writes the words
 of every listing as lines of text, which `_tree` splits into words for
-the iterators, the visitors and the CLI; in the other it counts for
-n < 64.  The Python walks stay the reference, the path without a
+the iterators, the visitors and the CLI; in the other it counts, exactly
+at every n.  The Python walks stay the reference, the path without a
 compiler, and the listing walk also the one an OpCounter is charged on.
 """
 
@@ -33,7 +33,7 @@ from enum import Enum
 from itertools import chain
 
 from .ops import _run
-from .words import check_word, is_prefix_normal
+from .words import _checked_length, check_word, is_prefix_normal
 
 DEFAULT_GEN_CAP = 40
 
@@ -137,33 +137,27 @@ def _tree(seed: str, order: Order, counter: OpCounter | None = None):
     The kernel writes them as lines of text, a chunk at a time; _walk, the
     reference, yields them otherwise.  Same precondition as _walk.
     """
-    if counter is None:
-        from . import _kernel
+    from . import _kernel
 
-        kernel = _kernel.load()
-        if kernel is not None:
-            return chain.from_iterable(map(str.splitlines, kernel.lines(
-                _ones(seed), len(seed), order is Order.LEX)))
-    return _walk(seed, order, counter)
+    kernel = _kernel.load() if counter is None else None
+    if kernel is None:
+        return _walk(seed, order, counter)
+    return chain.from_iterable(map(str.splitlines, kernel.lines(
+        _ones(seed), len(seed), order is Order.LEX)))
 
 
 def _count(seed: str) -> int:
     """Number of words in the tree rooted at `seed`, without yielding any.
     Same precondition as _walk; only the positions of the 1s are used.
 
-    For n < 64, where every count fits 64 bits, the compiled kernel
-    (`_kernel.load`) counts when it can be built; `_count_run` counts
-    otherwise and stays the reference.
+    The compiled kernel (`_kernel.load`) counts when it can be built, at
+    any n; `_count_run` counts otherwise and stays the reference.
     """
-    a = _ones(seed)
-    n = len(seed)
-    if n < 64:
-        from . import _kernel
+    from . import _kernel
 
-        kernel = _kernel.load()
-        if kernel is not None:
-            return kernel.count(a, n)
-    return _count_run(a, n)
+    kernel = _kernel.load()
+    count = _count_run if kernel is None else kernel.count
+    return count(_ones(seed), len(seed))
 
 
 def _count_run(a: list[int], n: int) -> int:
@@ -194,8 +188,7 @@ def _count_run(a: list[int], n: int) -> int:
 def _words(n: int, order: Order, counter: OpCounter | None = None):
     """The walk behind every listing of length n: the all-zero word, the
     single-1 word, then the tree rooted at 110^(n-2)."""
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _checked_length(n)
     for word in ("0" * n, "1" + "0" * (n - 1)) if n else ("",):
         # Words of length <= 1 are emitted without counted work.
         if counter and n > 1:
@@ -259,10 +252,7 @@ def iter_all(n: int, order: Order = Order.LEX):
 
 def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     """Number of prefix normal words of length n (refuses n above `cap`)."""
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap ({cap})")
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _checked_length(n, cap)
     if n < 2:
         return n + 1
     # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).

@@ -23,6 +23,14 @@ def check_word(w: str) -> str:
     return w
 
 
+def _checked_length(n: int, cap: int | None = None, kind: str = "enumeration") -> None:
+    """Raise ValueError if n exceeds `cap` (None for no cap), then if n < 0."""
+    if cap is not None and n > cap:
+        raise ValueError(f"n={n} exceeds the {kind} cap ({cap})")
+    if n < 0:
+        raise ValueError("word length must be nonnegative")
+
+
 def prefix_counts(w: str) -> list[int]:
     """The running count of 1s: counts[i] is the number of 1s in the i-length prefix."""
     counts = [0] * (len(w) + 1)
@@ -94,8 +102,7 @@ def oracle_enumerate(n: int, cap: int = DEFAULT_ORACLE_CAP) -> tuple[str, ...]:
     Brute force: filters all 2**n binary words through is_prefix_normal.
     Refuses n above `cap` so a typo cannot trigger an exponential blowup.
     """
-    if n < 0:
-        raise ValueError("word length must be nonnegative")
+    _checked_length(n)
     if n > cap:
         raise ValueError(
             f"n={n} exceeds the oracle cap ({cap}): filtering 2^{n} words is refused"

@@ -10,6 +10,7 @@ from prefixnormal import (
     critset,
     critset_count,
     critset_table,
+    generate,
     hamming,
     is_prefix_normal,
     oracle_enumerate,
@@ -101,6 +102,21 @@ def test_subtree_locality():
                 prefix = "1" * s + "0" * t + "1"
                 for w in collect(n, s, t):
                     assert w.startswith(prefix), (n, s, t, w)
+
+
+def test_critset_does_not_recheck_its_root(monkeypatch):
+    # The class root is prefix normal by construction, so listing a class
+    # runs no quadratic test on it.
+    n = 14
+    queries = [(s, t, order) for s in range(1, n + 1) for t in range(n - s + 1)
+               for order in Order]
+    want = [collect(n, *q) for q in queries]
+
+    def refuse(w):
+        raise AssertionError("the class root was checked again")
+
+    monkeypatch.setattr(generate, "is_prefix_normal", refuse)
+    assert [collect(n, *q) for q in queries] == want
 
 
 def test_gray_order_within_a_class():

@@ -76,19 +76,44 @@ def test_kernel_equals_the_python_walk_on_every_class_root_up_to_20():
             assert count(ones(root), n) == _count_run(ones(root), n), root
 
 
+def test_kernel_counts_long_words_exactly():
+    # No length limit: each native call's 64-bit total holds one budget of
+    # steps, and the calls add up in a Python int.
+    count = kernel()
+    checked = 0
+    for n in (64, 80, 120):
+        for s in range(n - 16, n + 1):
+            for t in range(n - s + 1):
+                root = _class_root(n, s, t)[1]
+                if root:
+                    assert count(ones(root), n) == _count_run(ones(root), n), root
+                    checked += 1
+    assert checked == 315
+
+
+def test_long_class_count_through_the_kernel():
+    # 2^26 words: about 100 s on the Python walk, under a second in the
+    # kernel (2 CPUs, Python 3.11).
+    kernel()
+    assert critset_count(64, 34, 3) == 2 ** 26
+
+
 def test_kernel_resumes_after_any_budget(monkeypatch):
     count = kernel()
+    # A class root at n = 64 with 4095 words: many calls add up.
+    long_root = _class_root(64, 48, 3)[1]
     for budget in (1, 2, 3, 7):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n in range(2, 11):
             for w in oracle_enumerate(n):
                 if w.count("1") >= 2:
                     assert count(ones(w), n) == _count_run(ones(w), n), (budget, w)
+        assert count(ones(long_root), 64) == _count_run(ones(long_root), 64) == 4095
 
 
 def test_kernel_refuses_what_it_cannot_count():
     count = kernel()
-    for a, n in (([1], 5), ([1, 2], 64), ([0, 2], 5), ([1, 6], 5)):
+    for a, n in (([1], 5), ([0, 2], 5), ([1, 6], 5)):
         with pytest.raises(ValueError):
             count(a, n)
     for a, n in (([1], 5), ([0, 2], 5), ([1, 6], 5)):
@@ -130,8 +155,9 @@ def test_kernel_lister_resumes_after_any_budget(monkeypatch):
                         assert kernel_lines(w, order) == walk_lines(w, order), (budget, w)
 
 
-def test_long_words_count_in_python(monkeypatch):
-    # Above 63 a count may not fit 64 bits, so the Python walk counts.
+def test_long_words_count_in_the_kernel(monkeypatch):
+    # The kernel counts at every n; the Python walk is not entered.
+    native()
     calls = []
 
     def spy(a, n):
@@ -140,7 +166,8 @@ def test_long_words_count_in_python(monkeypatch):
 
     monkeypatch.setattr(generate, "_count_run", spy)
     assert _count("1" * 63 + "0") == 3
-    assert calls == [64]
+    assert _count(_class_root(64, 48, 3)[1]) == 4095
+    assert calls == []
 
 
 def test_python_fallback_without_the_kernel(monkeypatch):
@@ -227,18 +254,29 @@ def test_shared_cache_is_refused(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
-def test_ctrl_c_stops_a_long_count():
-    # gen -n 40 --count-only counts for minutes even with the kernel.
+def interrupt(*argv, stdout=subprocess.PIPE):
+    """Start the CLI, send it SIGINT after a second, and return its exit
+    code, stdout (None when not piped) and stderr."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "prefixnormal", "gen", "-n", "40", "--count-only"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        [sys.executable, "-m", "prefixnormal", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
     try:
         time.sleep(1)
         assert proc.poll() is None
         proc.send_signal(signal.SIGINT)
-        out, _ = proc.communicate(timeout=3)
+        out, err = proc.communicate(timeout=3)
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode != 0 and out == ""
+    return proc.returncode, out, err
+
+
+def test_ctrl_c_stops_a_long_count():
+    # gen -n 40 --count-only counts for minutes even with the kernel.
+    assert interrupt("gen", "-n", "40", "--count-only") == (130, "", "error: interrupted\n")
+
+
+def test_ctrl_c_stops_a_long_listing():
+    assert (interrupt("gen", "-n", "40", stdout=subprocess.DEVNULL)
+            == (130, None, "error: interrupted\n"))

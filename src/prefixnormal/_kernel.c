@@ -14,13 +14,20 @@
  * "word\n" at out + *len.  A step writes at most two lines, and the lister
  * returns before a step when out cannot hold them.  The counter starts a
  * run at its end instead, after adding the run's n - r + 1 nodes, and
- * writes nothing.  *total gets this call's count alone, at most n + 1 per
- * step, so it fits 64 bits for any int n and a budget below 2^32.
+ * writes nothing.
  *
- * Both stop after about `budget` steps.  They return 0 with their state
- * left in the caller's buffers, so the caller can resume (and add up the
- * counts), and 1 when the tree is done.  *k is the number of 1s of the
- * current node, k0 the root's.
+ * pn_list walks one root with k0 1s.  pn_count counts m roots one after
+ * another: root i has lens[i] positions, concatenated in roots, and *i is
+ * the root being counted.  It copies a root into a when it enters it.
+ * parts[j] gets this call's count of root j alone, for every root j the
+ * call reached: at most n + 1 per step, so it fits 64 bits for any int n
+ * and a budget below 2^32.
+ *
+ * *k is the number of 1s of the current node (0 in pn_count before root
+ * *i is entered).  Both stop after about `budget` steps in all, inside a
+ * root or not.  They return 0 with their state left in the caller's
+ * buffers, so the caller can resume (and add up the counts), and 1 when
+ * every tree is done.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -37,11 +44,11 @@ static inline char *line(char *p, const char *w, int n, int q, int j)
 }
 
 static inline __attribute__((always_inline)) int
-walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t budget,
+walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t *left,
      uint64_t *total, int lex, char *w, char *out, size_t cap, size_t *len)
 {
     int kk = *k, *fr = f + 4 * kk, done = 0;
-    uint64_t sum = 0;
+    uint64_t sum = 0, budget = *left;
     size_t used = list ? *len : 0, room = 2 * (size_t)(n + 1);
     for (; budget; budget--) {
         if (list && cap - used < room)
@@ -107,6 +114,7 @@ walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t budget,
         }
     }
     *k = kk;
+    *left = budget;
     if (list)
         *len = used;
     else
@@ -114,14 +122,27 @@ walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t budget,
     return done;
 }
 
-int pn_count(int n, int k0, int *a, int *f, int *k, uint64_t *total,
-             uint64_t budget)
+int pn_count(int n, int m, const int *roots, const int *lens, int *i, int *a,
+             int *f, int *k, uint64_t *parts, uint64_t budget)
 {
-    return walk(0, n, k0, a, f, k, budget, total, 0, NULL, NULL, 0, NULL);
+    const int *root = roots;
+    for (int j = 0; j < *i; j++)
+        root += lens[j];
+    for (; *i < m; root += lens[(*i)++]) {
+        int k0 = lens[*i];
+        if (*k == 0) {
+            memcpy(a, root, k0 * sizeof *a);
+            *k = k0;
+        }
+        if (!walk(0, n, k0, a, f, k, &budget, parts + *i, 0, NULL, NULL, 0, NULL))
+            return 0;
+        *k = 0;
+    }
+    return 1;
 }
 
 int pn_list(int n, int k0, int lex, int *a, int *f, int *k, char *w,
             char *out, size_t cap, size_t *len, uint64_t budget)
 {
-    return walk(1, n, k0, a, f, k, budget, NULL, lex, w, out, cap, len);
+    return walk(1, n, k0, a, f, k, &budget, NULL, lex, w, out, cap, len);
 }

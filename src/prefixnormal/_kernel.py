@@ -17,6 +17,8 @@ import subprocess
 import sys
 import zlib
 from collections import namedtuple
+from itertools import chain
+from operator import add
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -80,8 +82,8 @@ def _build():
     native = ctypes.CDLL(str(lib))
     c_int_p = ctypes.POINTER(ctypes.c_int)
     c_count = native.pn_count
-    c_count.argtypes = [ctypes.c_int, ctypes.c_int, c_int_p, c_int_p, c_int_p,
-                        ctypes.POINTER(ctypes.c_uint64), ctypes.c_uint64]
+    c_count.argtypes = [ctypes.c_int, ctypes.c_int, c_int_p, c_int_p, c_int_p, c_int_p,
+                        c_int_p, c_int_p, ctypes.POINTER(ctypes.c_uint64), ctypes.c_uint64]
     c_count.restype = ctypes.c_int
     c_list = native.pn_list
     c_list.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, c_int_p, c_int_p,
@@ -89,29 +91,43 @@ def _build():
                        ctypes.POINTER(ctypes.c_size_t), ctypes.c_uint64]
     c_list.restype = ctypes.c_int
 
-    def state(a: list[int], n: int):
+    def state(n: int, a=()):
         # The positions of the 1s, zeroed frames and the number of 1s.
-        if not (2 <= len(a) and 0 < a[0] and a[-1] <= n):
-            raise ValueError("the kernel walks only nodes with two or more 1s")
         return ((ctypes.c_int * n)(*a), (ctypes.c_int * (4 * (n + 1)))(),
                 ctypes.c_int(len(a)))
 
-    def count(a: list[int], n: int) -> int:
-        """Words in the subtree of the node whose 1s sit at `a`, as
-        generate._count_run counts them, exact at any n: one native call
-        counts at most _BUDGET * (n + 1), which fits its 64-bit total, and
-        the calls add up here in a Python int."""
-        pos, frames, k = state(a, n)
-        total, part = 0, ctypes.c_uint64()
-        while not c_count(n, len(a), pos, frames, k, part, _BUDGET):
-            total += part.value
-        return total + part.value
+    def count(roots: list[list[int]], n: int) -> list[int]:
+        """Words in the subtree of each node whose 1s sit at the positions
+        in `roots`, as generate._count_run counts them, exact at any n.
+
+        One native call counts the roots one after another and stops after
+        about _BUDGET steps in all, inside a root or not; each of its
+        64-bit partial counts holds at most _BUDGET * (n + 1), and the
+        partials add up here in Python ints.
+        """
+        for a in roots:
+            _check(a, n)
+        m = len(roots)
+        flat = (ctypes.c_int * sum(map(len, roots)))(*chain.from_iterable(roots))
+        lens = (ctypes.c_int * m)(*map(len, roots))
+        parts = (ctypes.c_uint64 * m)()
+        i = ctypes.c_int(0)
+        pos, frames, k = state(n)
+        totals = [0] * m
+        while True:
+            start = i.value
+            done = c_count(n, m, flat, lens, i, pos, frames, k, parts, _BUDGET)
+            stop = min(i.value + 1, m)
+            totals[start:stop] = map(add, totals[start:stop], parts[start:stop])
+            if done:
+                return totals
 
     def lines(a: list[int], n: int, lex: bool):
         """Yield the words of the subtree of the node whose 1s sit at `a`,
         in the order of generate._walk, as str chunks of whole lines
         "word\\n"; needs 2 <= len(a)."""
-        pos, frames, k = state(a, n)
+        _check(a, n)
+        pos, frames, k = state(n, a)
         # The root's run base: the root with its rightmost 1 cleared.
         word = ctypes.create_string_buffer(b"0" * n, n)
         for i in a[:-1]:
@@ -131,6 +147,12 @@ def _build():
                 return
 
     return Kernel(count, lines)
+
+
+def _check(a: list[int], n: int) -> None:
+    # The native walk copies a into a buffer of n positions.
+    if not (2 <= len(a) <= n and 0 < a[0] and a[-1] <= n):
+        raise ValueError("the kernel walks only nodes with two or more 1s")
 
 
 @functools.cache

@@ -115,7 +115,8 @@ def cmd_critset(args) -> int:
 
 def cmd_table(args) -> int:
     t_max = args.t_max if args.t_max is not None else args.n
-    _emit_report(critset_table(args.n, args.s_max, t_max, jobs=args.jobs), args.format)
+    _emit_report(critset_table(args.n, args.s_max, t_max, jobs=args.jobs, cap=args.cap),
+                 args.format)
     return 0
 
 

@@ -6,8 +6,10 @@ without touching the rest of the language, and counted by the generator's
 counting walk without building a single word.  These classes partition
 every nonzero word, so class sizes are the only counting path: the (s, t)
 table lists them, and the histogram of critical prefix lengths folds them
-along the diagonals s + t, with the all-zero word added to bin n.  Both
-count every class in the calling process; no worker is ever started.
+along the diagonals s + t, with the all-zero word added to bin n.  Each
+class root comes in closed form from (s, t), so both count all their
+classes in one `_count` batch in the calling process; no worker is ever
+started.
 """
 
 from __future__ import annotations
@@ -16,36 +18,55 @@ import json
 from dataclasses import dataclass
 
 from .generate import DEFAULT_GEN_CAP, Order, _count, _tree, _visit_each
-from .ops import flip, min_flip
 from .words import _checked_length
 
 
-def _class_root(n: int, s: int, t: int) -> tuple[str | None, str | None]:
-    """The class 1^s 0^t as (seed, root): its one word outside the tree, and
-    the seed's flip child, whose flip-subtree holds every other word.
+def _class(n: int, s: int, t: int) -> tuple[int, list[int] | None]:
+    """The class 1^s 0^t of length n (s >= 1, t >= 0) as (seeds, root):
+    seeds is 1 when the class holds its seed, its one word outside the
+    tree, and 0 when the class is empty; root is the 1-based positions of
+    the 1s of the seed's flip child, whose flip-subtree holds every other
+    word, or None when the seed has no flip child.
 
-    seed is None for an empty class and root is None when the seed has no
-    flip child.  Raises ValueError for a query that denotes no class.
+    The seed 1^s 0^t 1 0^(n-s-t-1) has its 1s at 1..s and s+t+1, so
+    ops._run pairs them to min_flip 2t + 3 when s == 1 (the one pair
+    a_2 + a_2), and to s + t + 2 otherwise (a_2 + a_k beats each inner pair
+    x + (s + 3 - x)).  With t == 0 and symbols left over, the next one would
+    be a 1 and the leading 1-run longer than s, so the class is empty.
+    """
+    if t == 0 or s + t >= n:
+        return int(s + t == n), None
+    phi = 2 * t + 3 if s == 1 else s + t + 2
+    return 1, ([*range(1, s + 1), s + t + 1, phi] if phi <= n else None)
+
+
+def _class_root(n: int, s: int, t: int) -> tuple[str | None, list[int] | None]:
+    """The class 1^s 0^t as (seed, root): its seed word, or None for an
+    empty class, and the root of `_class`.  Raises ValueError for a query
+    that denotes no class.
+
+    The seed is prefix normal by construction (t >= 1): a factor that
+    reaches the lone 1 from the leading run spans the t zeros, so it never
+    holds more 1s than the prefix of its length.
     """
     _checked_length(n)
     if s < 1:
         raise ValueError("s must be >= 1; only the all-zero word has s == 0")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if s + t > n:
+    seeds, root = _class(n, s, t)
+    if not seeds:
         return None, None
-    if s + t == n:
-        return "1" * s + "0" * t, None
-    if t == 0:
-        # With symbols left over, the next one would be a 1 and the leading
-        # 1-run would be longer than s.
-        return None, None
-    # Prefix normal by construction (t >= 1): a factor that reaches the lone
-    # 1 from the leading run spans the t zeros, so it never holds more 1s
-    # than the prefix of its length.
-    seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
-    phi = min_flip(seed, validate=False)
-    return seed, flip(seed, phi) if phi <= n else None
+    lone = "1" + "0" * (n - s - t - 1) if s + t < n else ""
+    return "1" * s + "0" * t + lone, root
+
+
+def _sizes(n: int, classes: list[tuple[int, int]]) -> list[int]:
+    """The sizes of the classes (s, t) of length n, with every flip-subtree
+    counted in one `_count` batch."""
+    found = [_class(n, s, t) for s, t in classes]
+    counts = iter(_count([root for _, root in found if root], n))
+    return [seeds + next(counts) if root else seeds for seeds, root in found]
 
 
 def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
@@ -64,7 +85,10 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     # In post-order the flip subtree ends on its own root, one flipped
     # position away from the seed word, which comes last.  The root, a flip
     # child of a prefix normal seed, is listed without re-checking it.
-    count = 1 + (_visit_each(_tree(root, order), visit) if root else 0)
+    count = 1
+    if root:
+        word = seed[:root[-1] - 1] + "1" + seed[root[-1]:]
+        count += _visit_each(_tree(word, order), visit)
     if order is Order.GRAY:
         visit(seed)
     return count
@@ -75,7 +99,7 @@ def critset_count(n: int, s: int, t: int) -> int:
     seed, root = _class_root(n, s, t)
     if seed is None:
         return 0
-    return 1 + (_count(root) if root else 0)
+    return 1 + (_count([root], n)[0] if root else 0)
 
 
 @dataclass(frozen=True)
@@ -111,21 +135,25 @@ class CountsTable:
         })
 
 
-def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1) -> CountsTable:
-    """Fill the (s, t) count matrix for s in 1..s_max, t in 0..t_max.
+def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1,
+                  cap: int | None = None) -> CountsTable:
+    """Fill the (s, t) count matrix for s in 1..s_max, t in 0..t_max
+    (refuses n above `cap`, DEFAULT_GEN_CAP when None).
 
-    Every cell is counted in the calling process.  `jobs` is accepted for
-    compatibility and must be >= 1; it starts no workers, because with the
-    compiled counting kernel a process pool costs more than it saves.
+    Every cell is counted in the calling process, all of them in one batch.
+    `jobs` is accepted for compatibility and must be >= 1; it starts no
+    workers, because with the compiled counting kernel a process pool costs
+    more than it saves.
     """
-    _checked_length(n)
+    _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
     if s_max < 1 or t_max < 1:
         raise ValueError("s_max and t_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     s_values = tuple(range(1, s_max + 1))
     t_values = tuple(range(0, t_max + 1))
-    cells = {(s, t): critset_count(n, s, t) for s in s_values for t in t_values}
+    pairs = [(s, t) for s in s_values for t in t_values]
+    cells = dict(zip(pairs, _sizes(n, pairs)))
     return CountsTable(n=n, s_values=s_values, t_values=t_values, cells=cells)
 
 
@@ -159,15 +187,15 @@ class Histogram:
 def critical_prefix_histogram(n: int, cap: int | None = None) -> Histogram:
     """Bin the words of length n by critical prefix length s + t.
 
-    Each bin sums the sizes of the classes on its diagonal; the all-zero word
-    belongs to no class and lands in bin n (its critical prefix is the whole
-    word).
+    Each bin sums the sizes of the classes on its diagonal, all counted in
+    one batch; the all-zero word belongs to no class and lands in bin n
+    (its critical prefix is the whole word).  Refuses n above `cap`
+    (DEFAULT_GEN_CAP when None).
     """
     _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(n - s + 1)]
     bins = {n: 1}
-    for s in range(1, n + 1):
-        for t in range(n - s + 1):
-            count = critset_count(n, s, t)
-            if count:
-                bins[s + t] = bins.get(s + t, 0) + count
+    for (s, t), count in zip(pairs, _sizes(n, pairs)):
+        if count:
+            bins[s + t] = bins.get(s + t, 0) + count
     return Histogram(n=n, bins=bins, total=sum(bins.values()))

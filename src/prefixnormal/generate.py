@@ -22,9 +22,10 @@ adds a whole run of n - r + 1 words in one step and descends only into
 the flip children.  One C walk (`_kernel`), compiled on first use when a
 C compiler is present, does both jobs: in one mode it writes the words
 of every listing as lines of text, which `_tree` splits into words for
-the iterators, the visitors and the CLI; in the other it counts, exactly
-at every n.  The Python walks stay the reference, the path without a
-compiler, and the listing walk also the one an OpCounter is charged on.
+the iterators, the visitors and the CLI; in the other it counts a batch
+of subtrees in one call (`_count`), exactly at every n.  The Python walks
+stay the reference, the path without a compiler, and the listing walk
+also the one an OpCounter is charged on.
 """
 
 from __future__ import annotations
@@ -146,18 +147,21 @@ def _tree(seed: str, order: Order, counter: OpCounter | None = None):
         _ones(seed), len(seed), order is Order.LEX)))
 
 
-def _count(seed: str) -> int:
-    """Number of words in the tree rooted at `seed`, without yielding any.
-    Same precondition as _walk; only the positions of the 1s are used.
+def _count(roots: list[list[int]], n: int) -> list[int]:
+    """Number of words in the tree rooted at each node whose 1s sit at the
+    positions in `roots`, without yielding any.  Each root must be prefix
+    normal with at least two 1s.
 
-    The compiled kernel (`_kernel.load`) counts when it can be built, at
-    any n; `_count_run` counts otherwise and stays the reference.
+    The compiled kernel (`_kernel.load`) counts them all in one batch when
+    it can be built, at any n; otherwise `_count_run`, the reference, counts
+    each in turn, on a copy, since it moves the last position.
     """
     from . import _kernel
 
     kernel = _kernel.load()
-    count = _count_run if kernel is None else kernel.count
-    return count(_ones(seed), len(seed))
+    if kernel is None:
+        return [_count_run(a[:], n) for a in roots]
+    return kernel.count(roots, n)
 
 
 def _count_run(a: list[int], n: int) -> int:
@@ -256,4 +260,4 @@ def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     if n < 2:
         return n + 1
     # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).
-    return 2 + _count("11" + "0" * (n - 2))
+    return 2 + _count([[1, 2]], n)[0]

@@ -104,6 +104,23 @@ def oracle_min_flip(w: str) -> int:
     return n + 1
 
 
+def reference_class_root(n: int, s: int, t: int) -> tuple[str | None, str | None]:
+    """The class 1^s 0^t of length n (s >= 1, t >= 0) as (seed, root)
+    words: the seed 1^s 0^t 1 0^(n-s-t-1), or 1^s 0^t when s + t == n, and
+    its flip at min_flip.  seed is None for an empty class and root None
+    when the seed has no flip child.  The reference for the closed-form
+    roots of critstats._class."""
+    if s + t > n:
+        return None, None
+    if s + t == n:
+        return "1" * s + "0" * t, None
+    if t == 0:
+        return None, None
+    seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
+    phi = min_flip(seed, validate=False)
+    return seed, flip(seed, phi) if phi <= n else None
+
+
 def pn_words(n: int) -> tuple[str, ...]:
     return oracle_enumerate(n)
 

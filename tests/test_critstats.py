@@ -15,7 +15,10 @@ from prefixnormal import (
     is_prefix_normal,
     oracle_enumerate,
 )
-from prefixnormal.critstats import _class_root
+from prefixnormal import _kernel
+from prefixnormal.critstats import _class, _class_root
+
+from helpers import reference_class_root
 
 
 def collect(n, s, t, order=Order.LEX):
@@ -60,6 +63,19 @@ def test_class_seeds_are_prefix_normal():
                 seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
                 assert _class_root(n, s, t)[0] == seed
                 assert is_prefix_normal(seed), seed
+
+
+def test_closed_form_roots_equal_the_flipped_seeds():
+    # _class reads each root off (s, t); the reference builds the seed word
+    # and flips it at min_flip.  One t past s + t == n checks empty classes.
+    for n in range(0, 41):
+        for s in range(1, n + 2):
+            for t in range(0, n - s + 2):
+                seed, root = reference_class_root(n, s, t)
+                want = (int(seed is not None),
+                        [i for i, ch in enumerate(root, 1) if ch == "1"] if root else None)
+                assert _class(n, s, t) == want, (n, s, t)
+                assert _class_root(n, s, t) == (seed, want[1]), (n, s, t)
 
 
 def test_spot_count():
@@ -153,6 +169,32 @@ def test_table_covers_language_with_the_two_singletons():
         table = critset_table(n, n, n)
         # every class is inside the rectangle; only the all-zero word is extra
         assert table.total() + 1 == count_pn(n)
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_table_and_histogram_equal_the_classes_counted_one_by_one(compiled, monkeypatch):
+    # Both count all their classes in one batch; the reference counts each
+    # class with its own critset_count.
+    if compiled and _kernel.load() is None:
+        pytest.skip("no compiled walk on this machine")
+    if not compiled:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    for n in range(1, 23):
+        cells = {(s, t): critset_count(n, s, t) for s in range(1, n + 1) for t in range(n + 1)}
+        assert critset_table(n, n, n).cells == cells, n
+        bins = {n: 1}
+        for (s, t), count in cells.items():
+            if count:
+                bins[s + t] = bins.get(s + t, 0) + count
+        assert critical_prefix_histogram(n).bins == bins, n
+
+
+def test_table_cap():
+    with pytest.raises(ValueError, match=r"n=41 exceeds the enumeration cap \(40\)"):
+        critset_table(41, 1, 1)
+    with pytest.raises(ValueError, match=r"n=9 exceeds the enumeration cap \(8\)"):
+        critset_table(9, 1, 1, cap=8)
+    assert critset_table(41, 1, 1, cap=41).cells == {(1, 0): 0, (1, 1): critset_count(41, 1, 1)}
 
 
 def test_histogram_small_fixture():

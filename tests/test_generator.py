@@ -197,13 +197,14 @@ def test_count_pn():
 
 
 def test_count_matches_the_walk():
-    # From every root, not only 110...0 and the class roots.
+    # From every root, not only 110...0 and the class roots; the roots of
+    # one length are counted in one batch.
     for n in range(2, 15):
-        for w in oracle_enumerate(n):
-            if w.count("1") >= 2:
-                assert _count(w) == sum(1 for _ in iter_pn(w)), w
-                a = [i for i, ch in enumerate(w, 1) if ch == "1"]
-                assert _count_run(a, n) == _count(w), w
+        seeds = [w for w in oracle_enumerate(n) if w.count("1") >= 2]
+        roots = [[i for i, ch in enumerate(w, 1) if ch == "1"] for w in seeds]
+        counts = _count(roots, n)
+        assert counts == [sum(1 for _ in iter_pn(w)) for w in seeds], n
+        assert counts == [_count_run(a, n) for a in roots], n
 
 
 def test_counter_monotone_and_positive():

@@ -18,7 +18,7 @@ from prefixnormal import (OpCounter, Order, _kernel, count_pn, critset_count, cr
 from prefixnormal.critstats import _class_root
 from prefixnormal.generate import _count, _count_run, _walk
 
-from helpers import run_in_process
+from helpers import reference_class_root, run_in_process
 
 # count_pn(n) for n = 0 .. 21 (OEIS A194850).
 COUNTS = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185,
@@ -39,7 +39,9 @@ def native():
 
 
 def kernel():
-    return native().count
+    # One root per call; test_batch_resumes_after_any_budget counts batches.
+    count = native().count
+    return lambda a, n: count([a], n)[0]
 
 
 def walk_lines(root, order):
@@ -57,7 +59,7 @@ def roots(n):
     yield "11" + "0" * (n - 2)
     for s in range(1, n + 1):
         for t in range(n - s + 1):
-            root = _class_root(n, s, t)[1]
+            root = reference_class_root(n, s, t)[1]
             if root:
                 yield root
 
@@ -84,7 +86,7 @@ def test_kernel_counts_long_words_exactly():
     for n in (64, 80, 120):
         for s in range(n - 16, n + 1):
             for t in range(n - s + 1):
-                root = _class_root(n, s, t)[1]
+                root = reference_class_root(n, s, t)[1]
                 if root:
                     assert count(ones(root), n) == _count_run(ones(root), n), root
                     checked += 1
@@ -101,7 +103,7 @@ def test_long_class_count_through_the_kernel():
 def test_kernel_resumes_after_any_budget(monkeypatch):
     count = kernel()
     # A class root at n = 64 with 4095 words: many calls add up.
-    long_root = _class_root(64, 48, 3)[1]
+    long_root = reference_class_root(64, 48, 3)[1]
     for budget in (1, 2, 3, 7):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n in range(2, 11):
@@ -111,12 +113,26 @@ def test_kernel_resumes_after_any_budget(monkeypatch):
         assert count(ones(long_root), 64) == _count_run(ones(long_root), 64) == 4095
 
 
+def test_batch_resumes_after_any_budget(monkeypatch):
+    # Every root of a length in one batch: the budget runs out inside roots
+    # and on their boundaries, and each partial count lands on its root.
+    count = native().count
+    for budget in (1, 2, 3, 7):
+        monkeypatch.setattr(_kernel, "_BUDGET", budget)
+        for n in range(2, 21):
+            batch = [ones(root) for root in roots(n)]
+            assert count(batch, n) == [_count_run(a[:], n) for a in batch], (budget, n)
+
+
 def test_kernel_refuses_what_it_cannot_count():
     count = kernel()
-    for a, n in (([1], 5), ([0, 2], 5), ([1, 6], 5)):
+    bad = (([1], 5), ([0, 2], 5), ([1, 6], 5), ([1] * 6, 5))
+    for a, n in bad:
         with pytest.raises(ValueError):
             count(a, n)
-    for a, n in (([1], 5), ([0, 2], 5), ([1, 6], 5)):
+        with pytest.raises(ValueError):
+            native().count([[1, 2], a], n)
+    for a, n in bad:
         with pytest.raises(ValueError):
             next(native().lines(a, n, True))
 
@@ -165,8 +181,8 @@ def test_long_words_count_in_the_kernel(monkeypatch):
         return _count_run(a, n)
 
     monkeypatch.setattr(generate, "_count_run", spy)
-    assert _count("1" * 63 + "0") == 3
-    assert _count(_class_root(64, 48, 3)[1]) == 4095
+    assert _count([list(range(1, 64))], 64) == [3]
+    assert _count([_class_root(64, 48, 3)[1]], 64) == [4095]
     assert calls == []
 
 
@@ -234,13 +250,13 @@ def test_build_into_a_private_cache(tmp_path, monkeypatch):
     kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     count = _kernel._build().count
-    assert count(ones("11" + "0" * 19), 21) == COUNTS[21] - 2
+    assert count([ones("11" + "0" * 19)], 21) == [COUNTS[21] - 2]
     cache = tmp_path / "prefixnormal"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]
     # A second build loads the cached library without compiling again.
     monkeypatch.setattr(shutil, "which", lambda name: "/nonexistent/cc")
-    assert _kernel._build().count(ones("11" + "0" * 19), 21) == COUNTS[21] - 2
+    assert _kernel._build().count([ones("11" + "0" * 19)], 21) == [COUNTS[21] - 2]
 
 
 def test_shared_cache_is_refused(tmp_path, monkeypatch):
@@ -275,6 +291,11 @@ def interrupt(*argv, stdout=subprocess.PIPE):
 def test_ctrl_c_stops_a_long_count():
     # gen -n 40 --count-only counts for minutes even with the kernel.
     assert interrupt("gen", "-n", "40", "--count-only") == (130, "", "error: interrupted\n")
+
+
+def test_ctrl_c_stops_a_long_table():
+    # The whole table is one batch, and the batch returns to Python as often.
+    assert interrupt("table", "-n", "40") == (130, "", "error: interrupted\n")
 
 
 def test_ctrl_c_stops_a_long_listing():

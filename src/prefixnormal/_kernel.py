@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import os
 import shutil
-import subprocess
 import sys
 import zlib
 from collections import namedtuple
@@ -53,7 +52,6 @@ def _cache_dir() -> Path:
 
 def _build():
     import ctypes
-    import tempfile
 
     cc = shutil.which("cc")
     if cc is None:
@@ -67,6 +65,10 @@ def _build():
     cache = _cache_dir()
     lib = cache / f"kernel-{key:08x}.so"
     if not lib.exists():
+        # Only a build needs these, so a warm cache never imports them.
+        import subprocess
+        import tempfile
+
         # Built under a temporary name and renamed, so that a process that
         # builds at the same time never loads a half-written file.
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
@@ -76,6 +78,8 @@ def _build():
                            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                            stderr=subprocess.DEVNULL, timeout=120)
             os.replace(tmp, lib)
+        except subprocess.SubprocessError:
+            return None
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -166,5 +170,5 @@ def load():
     try:
         return _build()
     # AttributeError: no os.uname, or a library without pn_count or pn_list.
-    except (OSError, subprocess.SubprocessError, AttributeError):
+    except (OSError, AttributeError):
         return None

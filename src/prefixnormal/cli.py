@@ -12,7 +12,6 @@ walk, which counts where no C compiler is found), 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -139,6 +138,8 @@ def cmd_check(args) -> int:
     report["delta"] = f"{prof.density.numerator}/{prof.density.denominator}"
     report["iota"] = prof.length
     report["kappa"] = prof.ones
+    import json
+
     print(json.dumps(report))
     return 0 if pn else 1
 
@@ -258,6 +259,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except ScanCapExceeded as exc:
+        import json
+
         partial = {
             "seed": exc.seed,
             "error": "scan cap exceeded before a period was certified",

@@ -14,8 +14,7 @@ started.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .generate import DEFAULT_GEN_CAP, Order, _count, _tree, _visit_each
 from .words import _checked_length
@@ -102,18 +101,14 @@ def critset_count(n: int, s: int, t: int) -> int:
     return 1 + (_count([root], n)[0] if root else 0)
 
 
-@dataclass(frozen=True)
-class CountsTable:
+class CountsTable(namedtuple("CountsTable", "n s_values t_values cells")):
     """Class sizes on a rectangular (s, t) range; rows are s, columns are t.
 
     The t range starts at 0 so the table can cover every nonzero class; the
     all-zero word belongs to no class and is reported separately.
     """
 
-    n: int
-    s_values: tuple[int, ...]
-    t_values: tuple[int, ...]
-    cells: dict
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.cells.values())
@@ -125,6 +120,8 @@ class CountsTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({
             "n": self.n,
             "cells": [
@@ -138,18 +135,26 @@ class CountsTable:
 def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1,
                   cap: int | None = None) -> CountsTable:
     """Fill the (s, t) count matrix for s in 1..s_max, t in 0..t_max
-    (refuses n above `cap`, DEFAULT_GEN_CAP when None).
+    (refuses n above `cap`, DEFAULT_GEN_CAP when None, and s_max or t_max
+    above the larger of `cap` and DEFAULT_GEN_CAP).
 
     Every cell is counted in the calling process, all of them in one batch.
     `jobs` is accepted for compatibility and must be >= 1; it starts no
     workers, because with the compiled counting kernel a process pool costs
     more than it saves.
     """
-    _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
+    cap = DEFAULT_GEN_CAP if cap is None else cap
+    _checked_length(n, cap)
     if s_max < 1 or t_max < 1:
         raise ValueError("s_max and t_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    # Every cell past n is empty, but the table holds s_max * (t_max + 1)
+    # of them; this bounds its memory.
+    limit = max(cap, DEFAULT_GEN_CAP)
+    for name, bound in (("s_max", s_max), ("t_max", t_max)):
+        if bound > limit:
+            raise ValueError(f"{name}={bound} exceeds the generation cap ({limit})")
     s_values = tuple(range(1, s_max + 1))
     t_values = tuple(range(0, t_max + 1))
     pairs = [(s, t) for s in s_values for t in t_values]
@@ -157,13 +162,10 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1,
     return CountsTable(n=n, s_values=s_values, t_values=t_values, cells=cells)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(namedtuple("Histogram", "n bins total")):
     """How many prefix normal words of length n have a given critical prefix length."""
 
-    n: int
-    bins: dict
-    total: int
+    __slots__ = ()
 
     def to_csv(self) -> str:
         lines = ["length,count,percent"]
@@ -173,6 +175,8 @@ class Histogram:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({
             "n": self.n,
             "total": self.total,

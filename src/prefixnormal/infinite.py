@@ -15,10 +15,7 @@ minimum-density prefix, are then checked against the certified tail.
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import deque, namedtuple
 from itertools import islice
 from math import comb
 from operator import add
@@ -26,21 +23,20 @@ from operator import add
 from .words import check_word, is_prefix_normal
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(namedtuple("DensityProfile", "density length ones")):
     """Minimum over all prefixes of (number of 1s) / (prefix length).
 
     `length` is the shortest prefix attaining the minimum and `ones` its
     count of 1s, so density == Fraction(ones, length) exactly.
     """
 
-    density: Fraction
-    length: int
-    ones: int
+    __slots__ = ()
 
 
 def density_profile(w: str) -> DensityProfile:
     """Exact minimum prefix density of w with its earliest witness prefix."""
+    from fractions import Fraction
+
     check_word(w)
     if not w:
         raise ValueError("the empty word has no density")
@@ -133,22 +129,20 @@ class ScanCapExceeded(Exception):
         self.scanned_prefix = scanned_prefix
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    """Certified decomposition preperiod + period^infinity of a seed's extension."""
+class ExtensionReport(namedtuple("ExtensionReport", [
+        "seed", "density", "block_len", "block_ones", "preperiod", "period", "m_blocks",
+        "preperiod_bound", "scanned_length", "checks"])):
+    """Certified decomposition preperiod + period^infinity of a seed's extension.
 
-    seed: str
-    density: Fraction
-    block_len: int        # period length, predicted from the seed
-    block_ones: int       # period weight, predicted from the seed
-    preperiod: str
-    period: str
-    m_blocks: int         # ceil(len(seed) / block_len)
-    preperiod_bound: int
-    scanned_length: int
-    checks: dict
+    `block_len` and `block_ones` are the period's length and weight, both
+    predicted from the seed; `m_blocks` is ceil(len(seed) / block_len).
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({
             "seed": self.seed,
             "delta": f"{self.density.numerator}/{self.density.denominator}",

@@ -8,7 +8,7 @@ that every faster routine in the package is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 DEFAULT_ORACLE_CAP = 20
@@ -61,12 +61,10 @@ def is_prefix_normal(w: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CritPrefix:
+class CritPrefix(namedtuple("CritPrefix", "s t")):
     """The leading block 1^s 0^t of a word (maximal on both runs)."""
 
-    s: int
-    t: int
+    __slots__ = ()
 
     @property
     def length(self) -> int:

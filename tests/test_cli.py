@@ -188,6 +188,21 @@ def test_table_negative_length():
     assert res.stderr == "error: word length must be nonnegative\n"
 
 
+def test_table_bounds_above_the_cap_exit_2():
+    res = run("table", "-n", "5", "--s-max", "600", "--t-max", "600")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: s_max=600 exceeds the generation cap (40)\n"
+    res = run("table", "-n", "5", "--t-max", "41", "--cap", "5")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: t_max=41 exceeds the generation cap (40)\n"
+    # The cap raises the bound; a cap below the default --s-max 7 does not
+    # lower it.
+    assert run_in_process("table", "-n", "5", "--s-max", "41", "--cap", "41")[0] == 0
+    code, out = run_in_process("table", "-n", "5", "--cap", "5")
+    assert (code, out) == run_in_process("table", "-n", "5", "--s-max", "7")
+    assert out.splitlines()[-1] == "7,0,0,0,0,0,0"
+
+
 def test_table_counts_in_one_process():
     # Any --jobs is accepted, but no worker pool machinery is even imported.
     probe = (

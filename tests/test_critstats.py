@@ -197,6 +197,21 @@ def test_table_cap():
     assert critset_table(41, 1, 1, cap=41).cells == {(1, 0): 0, (1, 1): critset_count(41, 1, 1)}
 
 
+def test_table_bounds_cap():
+    # The bounds are checked against the larger of cap and DEFAULT_GEN_CAP,
+    # so every bound up to 40 is taken whatever the cap.
+    with pytest.raises(ValueError, match=r"^s_max=600 exceeds the generation cap \(40\)$"):
+        critset_table(5, 600, 600)
+    with pytest.raises(ValueError, match=r"^t_max=41 exceeds the generation cap \(40\)$"):
+        critset_table(5, 40, 41, cap=5)
+    with pytest.raises(ValueError, match=r"^s_max=51 exceeds the generation cap \(50\)$"):
+        critset_table(5, 51, 1, cap=50)
+    table = critset_table(5, 40, 40, cap=5)
+    assert len(table.cells) == 40 * 41
+    assert table.total() == count_pn(5) - 1
+    assert len(critset_table(5, 50, 50, cap=50).cells) == 50 * 51
+
+
 def test_histogram_small_fixture():
     hist = critical_prefix_histogram(3)
     assert hist.bins == {2: 1, 3: 4}

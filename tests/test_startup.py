@@ -4,7 +4,8 @@ loading the compiled walk from a warm cache.
 Each probe runs in a fresh interpreter started with -S, so that no
 site-packages hook loads anything first, and compares sys.modules before
 and after the step, so that it sees only what the step itself loads.  The
-probes need only the standard library.
+probes need only the standard library, and pytest is imported only to
+skip, so the test functions also run on an interpreter without pytest.
 """
 
 import os

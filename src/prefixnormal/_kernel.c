@@ -2,26 +2,36 @@
  * either writes the words of the tree as lines or only counts them.
  *
  * a[0 .. k-1] holds the 1-based positions of the 1s of the current node.
- * Frame i (4 ints from f + 4 * i) is the bubble run of the node with i 1s
+ * Frame i (5 ints from f + 5 * i) is the bubble run of the node with i 1s
  * on the path from the root: the position q of the rightmost 1 of the node
  * the walk has climbed down to (0 before the run is entered), rest and
- * second of ops._run, and the run's first position r.  Both modes climb
- * each run downward, as _walk does.
+ * second of ops._run, the run's first position r, and (counter only) the
+ * part of rest that the run's flip children share.  Both modes climb each
+ * run downward, as _walk does.
  *
  * The lister starts a run at q = n + 1 and visits every node of it; a node
  * with min_flip above n is a run tail node.  w holds the run's base, the
  * current node with its rightmost 1 cleared, and each word is written as
  * "word\n" at out + *len.  A step writes at most two lines, and the lister
- * returns before a step when out cannot hold them.  The counter starts a
- * run at its end instead, after adding the run's n - r + 1 nodes, and
- * writes nothing.
+ * returns before a step when out cannot hold them.
+ *
+ * The counter writes nothing and counts a run when it creates it: its
+ * n - r + 1 nodes and the flip children of those that are leaves at n
+ * (top).  The flip child at q of a node with k 1s has its 1s at
+ * a[0 .. k-2], q and phi, so its rest is the larger of the fifth int of
+ * the frame, over the pairs that do not move with q, and its own pair
+ * a[2] + q (2q when k = 3, none when k = 2); its second is a[1] (q when
+ * k = 2).  So each child of a run is counted in O(1), and it gets a frame,
+ * started at its last node with a flip child below n, only if there is
+ * one.  Only the root of a count is entered from q = 0.
  *
  * pn_list walks one root with k0 1s.  pn_count counts m roots one after
  * another: root i has lens[i] positions, concatenated in roots, and *i is
- * the root being counted.  It copies a root into a when it enters it.
+ * the root being counted.  It copies a root into a when it enters it,
+ * and returns -1 there if the root is not a node of the tree.
  * parts[j] gets this call's count of root j alone, for every root j the
- * call reached: at most n + 1 per step, so it fits 64 bits for any int n
- * and a budget below 2^32.
+ * call reached: at most 4n per step, so it fits 64 bits for any int n
+ * and a budget below 2^30.
  *
  * *k is the number of 1s of the current node (0 in pn_count before root
  * *i is entered).  Both stop after about `budget` steps in all, inside a
@@ -43,11 +53,39 @@ static inline char *line(char *p, const char *w, int n, int q, int j)
     return p + n + 1;
 }
 
+/* Add the run from r of a node with that rest and second (ops._run) to
+ * *sum, with the flip children of its nodes that are leaves at n.  The
+ * nodes r <= q < leaf have a flip child below n, and leaf <= q < end one
+ * at n; returns leaf. */
+static inline int top(int n, int r, int rest, int second, uint64_t *sum)
+{
+    /* min_flip at q is max(rest, second + q) - 1, or 2q - 1 with no second. */
+    int end = rest > n + 1 ? r : second ? n + 2 - second : (n + 3) / 2;
+    int leaf = rest > n ? r : second ? n + 1 - second : (n + 2) / 2;
+    if (end < r)
+        end = r;
+    if (leaf < r)
+        leaf = r;
+    *sum += (uint64_t)(n - r + 1) + (uint64_t)(end - leaf);
+    return leaf;
+}
+
+/* The part of rest that the flip children of the run of a[0 .. k-1]
+ * share: their pairs a[j] + a[k+1-j], j >= 3, which do not move with q. */
+static inline int shared(const int *a, int k)
+{
+    int s = 0;
+    for (int j = 3; 2 * j <= k + 1; j++)
+        if (a[j] + a[k + 1 - j] > s)
+            s = a[j] + a[k + 1 - j];
+    return s;
+}
+
 static inline __attribute__((always_inline)) int
 walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t *left,
      uint64_t *total, int lex, char *w, char *out, size_t cap, size_t *len)
 {
-    int kk = *k, *fr = f + 4 * kk, done = 0;
+    int kk = *k, *fr = f + 5 * kk, done = 0;
     uint64_t sum = 0, budget = *left;
     size_t used = list ? *len : 0, room = 2 * (size_t)(n + 1);
     for (; budget; budget--) {
@@ -66,13 +104,8 @@ walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t *left,
             if (list) {
                 q = n + 1;
             } else {
-                sum += (uint64_t)(n - r + 1);
-                if (rest > n + 1)
-                    q = r;
-                else
-                    q = second ? n + 2 - second : (n + 3) / 2;
-                if (q < r)
-                    q = r;
+                fr[4] = shared(a, kk);
+                q = top(n, r, rest, second, &sum);
             }
         }
         if (q == fr[3]) {
@@ -82,7 +115,7 @@ walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t *left,
                 done = 1;
                 break;
             }
-            fr -= 4;
+            fr -= 5;
             if (list) {
                 q = fr[0];
                 if (!lex)
@@ -94,23 +127,40 @@ walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t *left,
         fr[0] = --q;
         int pair = (fr[2] ? fr[2] : q) + q;
         int phi = (fr[1] > pair ? fr[1] : pair) - 1;
-        if (list && (lex || phi > n))
+        if (!list) {
+            /* phi < n, as q < leaf: count the flip child's run now, and
+             * give it a frame only if it has a flip child below n. */
+            int second = fr[2] ? fr[2] : q, rest = fr[4];
+            if (kk > 2) {
+                int own = (kk > 3 ? a[2] : q) + q;
+                if (own > rest)
+                    rest = own;
+            }
+            int leaf = top(n, phi, rest, second, &sum);
+            if (leaf > phi) {
+                a[kk - 1] = q;
+                a[kk++] = phi;
+                fr += 5;
+                fr[0] = leaf;
+                fr[1] = rest;
+                fr[2] = second;
+                fr[3] = phi;
+                fr[4] = shared(a, kk);
+            }
+            continue;
+        }
+        if (lex || phi > n)
             used = line(out + used, w, n, q, q) - out;
         if (phi < n) {
-            if (list)
-                w[q - 1] = '1';
+            w[q - 1] = '1';
             a[kk - 1] = q;
             a[kk++] = phi;
-            fr += 4;
+            fr += 5;
         } else if (phi == n) {
             /* A flip child at n is a single leaf. */
-            if (list) {
-                used = line(out + used, w, n, q, n) - out;
-                if (!lex)
-                    used = line(out + used, w, n, q, q) - out;
-            } else {
-                sum++;
-            }
+            used = line(out + used, w, n, q, n) - out;
+            if (!lex)
+                used = line(out + used, w, n, q, q) - out;
         }
     }
     *k = kk;
@@ -122,6 +172,19 @@ walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t *left,
     return done;
 }
 
+/* Whether the k positions p are a node of the tree that a can hold:
+ * 1 = p[0] < p[1] < ... < p[k-1] <= n with k >= 2.  The walk ends only
+ * on such a node (each flip child's new 1 is then above its others). */
+static int node(const int *p, int k, int n)
+{
+    if (k < 2 || k > n || p[0] != 1 || p[k - 1] > n)
+        return 0;
+    for (int j = 1; j < k; j++)
+        if (p[j] <= p[j - 1])
+            return 0;
+    return 1;
+}
+
 int pn_count(int n, int m, const int *roots, const int *lens, int *i, int *a,
              int *f, int *k, uint64_t *parts, uint64_t budget)
 {
@@ -131,6 +194,8 @@ int pn_count(int n, int m, const int *roots, const int *lens, int *i, int *a,
     for (; *i < m; root += lens[(*i)++]) {
         int k0 = lens[*i];
         if (*k == 0) {
+            if (!node(root, k0, n))
+                return -1;
             memcpy(a, root, k0 * sizeof *a);
             *k = k0;
         }

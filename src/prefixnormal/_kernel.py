@@ -17,10 +17,9 @@ import sys
 import zlib
 from collections import namedtuple
 from itertools import chain
-from operator import add
-from pathlib import Path
+from operator import add, lt
 
-_SOURCE = Path(__file__).with_name("_kernel.c")
+_SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
 # Steps per native call, about 8 ms of work: Python handles Ctrl-C and
 # other signals only between calls.
@@ -33,16 +32,16 @@ _CHUNK = 1 << 13
 Kernel = namedtuple("Kernel", "count lines")
 
 
-def _cache_dir() -> Path:
+def _cache_dir() -> str:
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         # Unset, empty or relative; the XDG spec says to ignore a relative path.
         root = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(root):
         raise OSError("no home directory for the kernel cache")
-    path = Path(root, "prefixnormal")
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    st = path.stat()
+    path = os.path.join(root, "prefixnormal")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.stat(path)
     # A directory that someone else owns or can write to could hold a
     # library that is not ours.
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
@@ -52,19 +51,22 @@ def _cache_dir() -> Path:
 
 def _build():
     import ctypes
+    import struct
 
     cc = shutil.which("cc")
     if cc is None:
         return None
+    with open(_SOURCE, "rb") as f:
+        source = f.read()
     # zlib is already loaded, where hashlib would load OpenSSL (3.5 MB of
     # resident memory); the key only tells our own builds apart.
     key = zlib.crc32(b"\0".join(
-        [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), sys.platform.encode(),
+        [source, " ".join(_FLAGS).encode(), sys.platform.encode(),
          os.uname().machine.encode()]
     ))
     cache = _cache_dir()
-    lib = cache / f"kernel-{key:08x}.so"
-    if not lib.exists():
+    lib = os.path.join(cache, f"kernel-{key:08x}.so")
+    if not os.path.exists(lib):
         # Only a build needs these, so a warm cache never imports them.
         import subprocess
         import tempfile
@@ -74,7 +76,7 @@ def _build():
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         try:
-            subprocess.run([cc, *_FLAGS, "-o", tmp, str(_SOURCE)], check=True,
+            subprocess.run([cc, *_FLAGS, "-o", tmp, _SOURCE], check=True,
                            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                            stderr=subprocess.DEVNULL, timeout=120)
             os.replace(tmp, lib)
@@ -83,7 +85,7 @@ def _build():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    native = ctypes.CDLL(str(lib))
+    native = ctypes.CDLL(lib)
     c_int_p = ctypes.POINTER(ctypes.c_int)
     c_count = native.pn_count
     c_count.argtypes = [ctypes.c_int, ctypes.c_int, c_int_p, c_int_p, c_int_p, c_int_p,
@@ -97,8 +99,13 @@ def _build():
 
     def state(n: int, a=()):
         # The positions of the 1s, zeroed frames and the number of 1s.
-        return ((ctypes.c_int * n)(*a), (ctypes.c_int * (4 * (n + 1)))(),
+        return ((ctypes.c_int * n)(*a), (ctypes.c_int * (5 * (n + 1)))(),
                 ctypes.c_int(len(a)))
+
+    def ints(m: int, values):
+        # m C ints packed in one call: (c_int * m)(*values) converts them
+        # one at a time, about 8 times as slow for the histogram's roots.
+        return (ctypes.c_int * m).from_buffer_copy(struct.pack(f"{m}i", *values))
 
     def count(roots: list[list[int]], n: int) -> list[int]:
         """Words in the subtree of each node whose 1s sit at the positions
@@ -106,14 +113,16 @@ def _build():
 
         One native call counts the roots one after another and stops after
         about _BUDGET steps in all, inside a root or not; each of its
-        64-bit partial counts holds at most _BUDGET * (n + 1), and the
-        partials add up here in Python ints.
+        64-bit partial counts holds at most 4 * _BUDGET * n, and the
+        partials add up here in Python ints.  Raises ValueError if a root
+        is not a node of the tree.
         """
-        for a in roots:
-            _check(a, n)
         m = len(roots)
-        flat = (ctypes.c_int * sum(map(len, roots)))(*chain.from_iterable(roots))
-        lens = (ctypes.c_int * m)(*map(len, roots))
+        try:
+            flat = ints(sum(map(len, roots)), chain.from_iterable(roots))
+        except struct.error:
+            raise ValueError(_NOT_A_NODE) from None
+        lens = ints(m, map(len, roots))
         parts = (ctypes.c_uint64 * m)()
         i = ctypes.c_int(0)
         pos, frames, k = state(n)
@@ -121,6 +130,9 @@ def _build():
         while True:
             start = i.value
             done = c_count(n, m, flat, lens, i, pos, frames, k, parts, _BUDGET)
+            if done < 0:
+                # The kernel checks each root as it copies it in.
+                raise ValueError(_NOT_A_NODE)
             stop = min(i.value + 1, m)
             totals[start:stop] = map(add, totals[start:stop], parts[start:stop])
             if done:
@@ -153,10 +165,15 @@ def _build():
     return Kernel(count, lines)
 
 
+_NOT_A_NODE = ("the kernel walks only nodes of the tree: two or more strictly "
+               "increasing positions from 1 to at most n")
+
+
 def _check(a: list[int], n: int) -> None:
-    # The native walk copies a into a buffer of n positions.
-    if not (2 <= len(a) <= n and 0 < a[0] and a[-1] <= n):
-        raise ValueError("the kernel walks only nodes with two or more 1s")
+    # The lister copies a into a buffer of n positions, and it ends only on
+    # a node of the tree; pn_count checks its roots in C.
+    if not (len(a) >= 2 and a[0] == 1 and a[-1] <= n and all(map(lt, a, a[1:]))):
+        raise ValueError(_NOT_A_NODE)
 
 
 @functools.cache

@@ -17,6 +17,7 @@ from prefixnormal import (OpCounter, Order, _kernel, count_pn, critset_count, cr
                           oracle_enumerate)
 from prefixnormal.critstats import _class_root
 from prefixnormal.generate import _count, _count_run, _walk
+from prefixnormal.ops import _run
 
 from helpers import reference_class_root, run_in_process
 
@@ -113,6 +114,24 @@ def test_kernel_resumes_after_any_budget(monkeypatch):
         assert count(ones(long_root), 64) == _count_run(ones(long_root), 64) == 4095
 
 
+def test_count_mode_equals_the_python_walk_on_every_node_up_to_14(monkeypatch):
+    # The counter counts a flip child's run when it creates it and gives it
+    # a frame only if it has a flip child below n: every node as a root,
+    # resumed after any budget, also from inside a pushed frame.
+    count = native().count
+    batches = {n: [ones(w) for w in oracle_enumerate(n) if w.count("1") >= 2]
+               for n in range(2, 15)}
+    want = {n: [_count_run(a[:], n) for a in batch] for n, batch in batches.items()}
+    # Roots with two 1s (no second), and runs whose rest is n + 1 (every
+    # flip child a leaf at n).
+    assert [1, 2] in batches[14]
+    assert any(_run(a, n)[0] == n + 1 for n, batch in batches.items() for a in batch)
+    for budget in (1, 2, 3, 7, _kernel._BUDGET):
+        monkeypatch.setattr(_kernel, "_BUDGET", budget)
+        for n, batch in batches.items():
+            assert count(batch, n) == want[n], (budget, n)
+
+
 def test_batch_resumes_after_any_budget(monkeypatch):
     # Every root of a length in one batch: the budget runs out inside roots
     # and on their boundaries, and each partial count lands on its root.
@@ -126,7 +145,11 @@ def test_batch_resumes_after_any_budget(monkeypatch):
 
 def test_kernel_refuses_what_it_cannot_count():
     count = kernel()
-    bad = (([1], 5), ([0, 2], 5), ([1, 6], 5), ([1] * 6, 5))
+    # Repeated or unsorted positions are no node of the tree: the walk
+    # would not end on [1, 1] and [1, 1, 1], and would miscount the rest.
+    bad = (([1], 5), ([0, 2], 5), ([1, 6], 5), ([1] * 6, 5),
+           ([1, 1], 6), ([1, 1, 1], 6), ([2, 2, 3], 6), ([1, 3, 2], 6),
+           ([1, 2 ** 32 + 2, 3], 6))
     for a, n in bad:
         with pytest.raises(ValueError):
             count(a, n)

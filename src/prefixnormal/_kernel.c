@@ -25,19 +25,20 @@
  * started at its last node with a flip child below n, only if there is
  * one.  Only the root of a count is entered from q = 0.
  *
- * pn_list walks one root with k0 1s.  pn_count counts m roots one after
- * another: root i has lens[i] positions, concatenated in roots, and *i is
- * the root being counted.  It copies a root into a when it enters it,
- * and returns -1 there if the root is not a node of the tree.
+ * pn_list walks one root of k0 positions.  pn_count counts m roots one
+ * after another: root i has lens[i] positions, concatenated in roots, and
+ * *i is the root being counted.  Both check a root as they enter it and
+ * copy it into a, the lister its run base into w too, and return -1 there
+ * if it is not a node of the tree.
  * parts[j] gets this call's count of root j alone, for every root j the
  * call reached: at most 4n per step, so it fits 64 bits for any int n
  * and a budget below 2^30.
  *
- * *k is the number of 1s of the current node (0 in pn_count before root
- * *i is entered).  Both stop after about `budget` steps in all, inside a
- * root or not.  They return 0 with their state left in the caller's
- * buffers, so the caller can resume (and add up the counts), and 1 when
- * every tree is done.
+ * *k is the number of 1s of the current node, 0 before the root (in
+ * pn_count root *i) is entered.  Both stop after about `budget` steps in
+ * all, inside a root or not.  They return 0 with their state left in the
+ * caller's buffers, so the caller can resume (and add up the counts), and
+ * 1 when every tree is done.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -172,16 +173,23 @@ walk(const int list, int n, int k0, int *a, int *f, int *k, uint64_t *left,
     return done;
 }
 
-/* Whether the k positions p are a node of the tree that a can hold:
- * 1 = p[0] < p[1] < ... < p[k-1] <= n with k >= 2.  The walk ends only
- * on such a node (each flip child's new 1 is then above its others). */
-static int node(const int *p, int k, int n)
+/* Copy root p into a and, with w, its run base into w, if it is a node the
+ * walk ends on that a can hold: 1 = p[0] < ... < p[k0-1] <= n, k0 >= 2
+ * (a flip child's new 1 is then above its others).  Else returns 0. */
+static int enter(const int *p, int k0, int n, int *a, int *k, char *w)
 {
-    if (k < 2 || k > n || p[0] != 1 || p[k - 1] > n)
+    if (k0 < 2 || k0 > n || p[0] != 1 || p[k0 - 1] > n)
         return 0;
-    for (int j = 1; j < k; j++)
+    for (int j = 1; j < k0; j++)
         if (p[j] <= p[j - 1])
             return 0;
+    memcpy(a, p, k0 * sizeof *a);
+    *k = k0;
+    if (w) {
+        memset(w, '0', n);
+        for (int j = 0; j < k0 - 1; j++)
+            w[p[j] - 1] = '1';
+    }
     return 1;
 }
 
@@ -193,12 +201,8 @@ int pn_count(int n, int m, const int *roots, const int *lens, int *i, int *a,
         root += lens[j];
     for (; *i < m; root += lens[(*i)++]) {
         int k0 = lens[*i];
-        if (*k == 0) {
-            if (!node(root, k0, n))
-                return -1;
-            memcpy(a, root, k0 * sizeof *a);
-            *k = k0;
-        }
+        if (*k == 0 && !enter(root, k0, n, a, k, NULL))
+            return -1;
         if (!walk(0, n, k0, a, f, k, &budget, parts + *i, 0, NULL, NULL, 0, NULL))
             return 0;
         *k = 0;
@@ -206,8 +210,10 @@ int pn_count(int n, int m, const int *roots, const int *lens, int *i, int *a,
     return 1;
 }
 
-int pn_list(int n, int k0, int lex, int *a, int *f, int *k, char *w,
-            char *out, size_t cap, size_t *len, uint64_t budget)
+int pn_list(int n, const int *root, int k0, int lex, int *a, int *f, int *k,
+            char *w, char *out, size_t cap, size_t *len, uint64_t budget)
 {
+    if (*k == 0 && !enter(root, k0, n, a, k, w))
+        return -1;
     return walk(1, n, k0, a, f, k, &budget, NULL, lex, w, out, cap, len);
 }

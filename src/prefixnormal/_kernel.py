@@ -17,7 +17,7 @@ import sys
 import zlib
 from collections import namedtuple
 from itertools import chain
-from operator import add, lt
+from operator import add
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
@@ -92,20 +92,22 @@ def _build():
                         c_int_p, c_int_p, ctypes.POINTER(ctypes.c_uint64), ctypes.c_uint64]
     c_count.restype = ctypes.c_int
     c_list = native.pn_list
-    c_list.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int, c_int_p, c_int_p,
+    c_list.argtypes = [ctypes.c_int, c_int_p, ctypes.c_int, ctypes.c_int, c_int_p, c_int_p,
                        c_int_p, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_size_t,
                        ctypes.POINTER(ctypes.c_size_t), ctypes.c_uint64]
     c_list.restype = ctypes.c_int
 
-    def state(n: int, a=()):
-        # The positions of the 1s, zeroed frames and the number of 1s.
-        return ((ctypes.c_int * n)(*a), (ctypes.c_int * (5 * (n + 1)))(),
-                ctypes.c_int(len(a)))
+    def state(n: int):
+        # Room for the positions of the 1s, zeroed frames, and no root entered.
+        return (ctypes.c_int * n)(), (ctypes.c_int * (5 * (n + 1)))(), ctypes.c_int(0)
 
     def ints(m: int, values):
         # m C ints packed in one call: (c_int * m)(*values) converts them
         # one at a time, about 8 times as slow for the histogram's roots.
-        return (ctypes.c_int * m).from_buffer_copy(struct.pack(f"{m}i", *values))
+        try:
+            return (ctypes.c_int * m).from_buffer_copy(struct.pack(f"{m}i", *values))
+        except struct.error:
+            raise ValueError(_NOT_A_NODE) from None
 
     def count(roots: list[list[int]], n: int) -> list[int]:
         """Words in the subtree of each node whose 1s sit at the positions
@@ -118,10 +120,7 @@ def _build():
         is not a node of the tree.
         """
         m = len(roots)
-        try:
-            flat = ints(sum(map(len, roots)), chain.from_iterable(roots))
-        except struct.error:
-            raise ValueError(_NOT_A_NODE) from None
+        flat = ints(sum(map(len, roots)), chain.from_iterable(roots))
         lens = ints(m, map(len, roots))
         parts = (ctypes.c_uint64 * m)()
         i = ctypes.c_int(0)
@@ -131,7 +130,6 @@ def _build():
             start = i.value
             done = c_count(n, m, flat, lens, i, pos, frames, k, parts, _BUDGET)
             if done < 0:
-                # The kernel checks each root as it copies it in.
                 raise ValueError(_NOT_A_NODE)
             stop = min(i.value + 1, m)
             totals[start:stop] = map(add, totals[start:stop], parts[start:stop])
@@ -141,20 +139,20 @@ def _build():
     def lines(a: list[int], n: int, lex: bool):
         """Yield the words of the subtree of the node whose 1s sit at `a`,
         in the order of generate._walk, as str chunks of whole lines
-        "word\\n"; needs 2 <= len(a)."""
-        _check(a, n)
-        pos, frames, k = state(n, a)
-        # The root's run base: the root with its rightmost 1 cleared.
-        word = ctypes.create_string_buffer(b"0" * n, n)
-        for i in a[:-1]:
-            word[i - 1] = b"1"
+        "word\\n".  Raises ValueError if `a` is not a node of the tree."""
+        root = ints(len(a), a)
+        pos, frames, k = state(n)
+        # The kernel writes the root's run base here when it enters it.
+        word = ctypes.create_string_buffer(n)
         # A step writes at most two lines.
         size = max(_CHUNK, 2 * (n + 1))
         out = ctypes.create_string_buffer(size)
         view = memoryview(out)
         used = ctypes.c_size_t(0)
         while True:
-            done = c_list(n, len(a), lex, pos, frames, k, word, out, size, used, _BUDGET)
+            done = c_list(n, root, len(a), lex, pos, frames, k, word, out, size, used, _BUDGET)
+            if done < 0:
+                raise ValueError(_NOT_A_NODE)
             if used.value:
                 # Decoded straight from the buffer, with no bytes copy.
                 yield str(view[:used.value], "ascii")
@@ -167,13 +165,6 @@ def _build():
 
 _NOT_A_NODE = ("the kernel walks only nodes of the tree: two or more strictly "
                "increasing positions from 1 to at most n")
-
-
-def _check(a: list[int], n: int) -> None:
-    # The lister copies a into a buffer of n positions, and it ends only on
-    # a node of the tree; pn_count checks its roots in C.
-    if not (len(a) >= 2 and a[0] == 1 and a[-1] <= n and all(map(lt, a, a[1:]))):
-        raise ValueError(_NOT_A_NODE)
 
 
 @functools.cache

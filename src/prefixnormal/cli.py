@@ -4,9 +4,9 @@ extensions, and a self-check against the brute-force enumeration.
 Words stream to stdout, one per line; diagnostics go to stderr.  Exit codes:
 0 success (or a true answer), 1 a false answer from `check`/`oracle` or
 stdout closed by its reader before the output ended (as in `gen ... | head`;
-no traceback is printed), 2 usage or input error, 3 a resource limit was hit
-(a scan cap, or the interpreter's recursion limit in the Python counting
-walk, which counts where no C compiler is found), 130 interrupted (Ctrl-C).
+no traceback is printed), 2 usage or input error, 3 the scan cap of
+`extend --detect` was hit before a period was certified, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -273,11 +273,6 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:
-        # The Python counting walk, used without a compiler, recurses once
-        # per 1 it adds, so a large enough n runs out of interpreter stack.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except KeyboardInterrupt:
         # 128 + SIGINT, as a shell reports a process that Ctrl-C ended.
         print("error: interrupted", file=sys.stderr)

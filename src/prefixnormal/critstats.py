@@ -95,10 +95,8 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
 
 def critset_count(n: int, s: int, t: int) -> int:
     """Size of the class with critical prefix 1^s 0^t among length-n words."""
-    seed, root = _class_root(n, s, t)
-    if seed is None:
-        return 0
-    return 1 + (_count([root], n)[0] if root else 0)
+    _class_root(n, s, t)
+    return _sizes(n, [(s, t)])[0]
 
 
 class CountsTable(namedtuple("CountsTable", "n s_values t_values cells")):
@@ -145,8 +143,10 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1,
     """
     cap = DEFAULT_GEN_CAP if cap is None else cap
     _checked_length(n, cap)
-    if s_max < 1 or t_max < 1:
-        raise ValueError("s_max and t_max must be >= 1")
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     # Every cell past n is empty, but the table holds s_max * (t_max + 1)

@@ -17,15 +17,15 @@ yielded before (LEX) or after (GRAY) its flip child's subtree.  Every
 listing is a thin shell over that walk; the full listings put 0^n and
 10^(n-1) in front of the tree rooted at 110^(n-2).
 
-Counts build no words: a smaller walk over the positions of the 1s alone
-adds a whole run of n - r + 1 words in one step and descends only into
-the flip children.  One C walk (`_kernel`), compiled on first use when a
-C compiler is present, does both jobs: in one mode it writes the words
-of every listing as lines of text, which `_tree` splits into words for
-the iterators, the visitors and the CLI; in the other it counts a batch
-of subtrees in one call (`_count`), exactly at every n.  The Python walks
-stay the reference, the path without a compiler, and the listing walk
-also the one an OpCounter is charged on.
+Counts build no words: a smaller walk over the positions of the 1s alone,
+on a stack of its own, adds a whole run of n - r + 1 words in one step
+and descends only into the flip children.  One C walk (`_kernel`),
+compiled on first use when a C compiler is present, does both jobs: in
+one mode it writes the words of every listing as lines, which `_tree`
+splits into words for the iterators, the visitors and the CLI; in the
+other it counts a batch of subtrees in one call (`_count`), exactly at
+every n.  The Python walks are the reference and the path without a
+compiler; the listing walk is also the one an OpCounter is charged on.
 """
 
 from __future__ import annotations
@@ -169,24 +169,36 @@ def _count_run(a: list[int], n: int) -> int:
     counted a bubble run at a time.
 
     The run from the rightmost 1 r holds n - r + 1 nodes, and only
-    r <= q < end have a flip child (ops._run).  Each flip child is counted
-    by recursion on `a` with its position appended (depth at most the
-    number of 1s); one at n is a single leaf, counted without recursion.
-    The run moves a's last entry in place; the caller pops or drops it.
-    This is the reference the compiled kernel is tested against.
+    r <= q < end have a flip child (ops._run); one at n is a single leaf.
+    Each run is climbed downward from end, as in _walk, and every other
+    flip child's run is entered with its position appended to `a`.  The
+    paused runs sit on an explicit stack, one frame per 1 added, so any
+    depth fits.  The runs move a's last entry in place; the caller pops or
+    drops it.  This is the reference the compiled kernel is tested against.
     """
-    rest, second, end, _ = _run(a, n)
-    total = n - a[-1] + 1
-    for q in range(a[-1], end):
-        phi = max(rest, (second or q) + q) - 1
-        if phi == n:
-            total += 1
-        else:
-            a[-1] = q
-            a.append(phi)
-            total += _count_run(a, n)
-            a.pop()
-    return total
+    stack: list[tuple[int, int, int, int]] = []
+    push, pop = stack.append, stack.pop
+    total, r = 0, a[-1]
+    while True:
+        rest, second, q, _ = _run(a, n)
+        total += n - r + 1
+        while True:
+            if q == r:
+                # The run is done: resume its parent's run below the flip node.
+                if not stack:
+                    return total
+                rest, second, r, q = pop()
+                a.pop()
+            else:
+                q -= 1
+                phi = max(rest, (second or q) + q) - 1
+                if phi < n:
+                    push((rest, second, r, q))
+                    a[-1] = q
+                    a.append(phi)
+                    r = phi
+                    break
+                total += 1
 
 
 def _words(n: int, order: Order, counter: OpCounter | None = None):

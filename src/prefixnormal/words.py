@@ -100,11 +100,7 @@ def oracle_enumerate(n: int, cap: int = DEFAULT_ORACLE_CAP) -> tuple[str, ...]:
     Brute force: filters all 2**n binary words through is_prefix_normal.
     Refuses n above `cap` so a typo cannot trigger an exponential blowup.
     """
-    _checked_length(n)
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the oracle cap ({cap}): filtering 2^{n} words is refused"
-        )
+    _checked_length(n, cap, "oracle")
     if n == 0:
         return ("",)
     fmt = f"0{n}b"

@@ -1,0 +1,84 @@
+"""Byte-identity gate for the CLI: run a fixed set of about 9,500 argv
+through `cli.main` in this process and write one line per argv: the argv,
+the exit code, the SHA-256 of stdout and stderr as a JSON string.
+
+    PYTHONPATH=src python tests/cli_gate.py > with-kernel.txt
+    PYTHONPATH=src python tests/cli_gate.py --no-kernel > python-walk.txt
+
+Run it on two trees and diff the files: every argv whose output changed
+shows up as a differing line.  `--no-kernel` patches `_kernel.load` to
+return None, so every walk and count runs in Python.  The set leaves out
+counts that never end without the kernel (gen -n 1000 --count-only), and
+pytest does not collect this file.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+
+class _Digest:
+    # A stdout that keeps only the SHA-256 of what is written to it.
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def argvs():
+    orders = ("lex", "gray")
+    words = [("--format", fmt) for fmt in ("plain", "csv", "json")] + [("--count-only",)]
+    for n in range(-1, 23):
+        for order in orders:
+            for fmt in words:
+                yield ("gen", "-n", n, "--order", order, *fmt)
+    for n in range(-1, 15):
+        for s in range(-1, n + 2):
+            for t in range(-1, n - s + 2):
+                for order in orders:
+                    for fmt in words:
+                        yield ("critset", "-n", n, "-s", s, "-t", t, "--order", order, *fmt)
+    for n in range(-1, 15):
+        for fmt in ("csv", "json"):
+            yield ("hist", "-n", n, "--format", fmt)
+            for s_max in ((), ("--s-max", 1), ("--s-max", 3), ("--s-max", 15)):
+                for t_max in ((), ("--t-max", 0)):
+                    yield ("table", "-n", n, *s_max, *t_max, "--format", fmt)
+    for n in range(-1, 11):
+        yield ("oracle", "-n", n)
+    for cmd in (("gen",), ("hist",), ("table",), ("oracle",), ("critset", "-s", 1, "-t", 1)):
+        for n in (-1, 6):
+            for cap in (-5, 0, 5, 6, 64):
+                yield (*cmd, "-n", n, "--cap", cap)
+
+
+def main(argv):
+    for env in ("PREFIXNORMAL_GEN_CAP", "PREFIXNORMAL_ORACLE_CAP"):
+        os.environ.pop(env, None)
+    from prefixnormal import _kernel, cli
+
+    if "--no-kernel" in argv:
+        _kernel.load = lambda: None
+    out = sys.stdout
+    for args in argvs():
+        args = [str(a) for a in args]
+        digest, err = _Digest(), io.StringIO()
+        with contextlib.redirect_stdout(digest), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+        out.write(f"{' '.join(args)}\t{code}\t{digest.sha.hexdigest()}\t"
+                  f"{json.dumps(err.getvalue())}\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -188,6 +188,15 @@ def test_table_negative_length():
     assert res.stderr == "error: word length must be nonnegative\n"
 
 
+def test_table_t_max_0():
+    # t runs from 0, so --t-max 0 is the t = 0 column; it is also the
+    # default at n = 0, whose classes are all empty.
+    assert run_in_process("table", "-n", "0") == (0, "s\\t,0\n" + "".join(
+        f"{s},0\n" for s in range(1, 8)))
+    assert run_in_process("table", "-n", "4", "--s-max", "4", "--t-max", "0") == (
+        0, "s\\t,0\n1,0\n2,0\n3,0\n4,1\n")
+
+
 def test_table_bounds_above_the_cap_exit_2():
     res = run("table", "-n", "5", "--s-max", "600", "--t-max", "600")
     assert (res.returncode, res.stdout) == (2, "")
@@ -327,18 +336,6 @@ def test_extend_bad_seed():
         res = run("extend", word, "--steps", "0")
         assert res.returncode == 2 and res.stdout == ""
         assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
-
-
-def test_recursion_limit_exit_3(monkeypatch):
-    # Without a compiler the Python counting walk counts; it recurses once
-    # per 1 it adds, and n = 1000 exceeds the interpreter's recursion limit.
-    # (The kernel counts it until interrupted.)
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-        code = cli.main(["gen", "-n", "1000", "--cap", "1000", "--count-only"])
-    assert code == 3 and out.getvalue() == ""
-    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
 
 
 def test_extend_scan_cap_exit_3():

@@ -212,6 +212,17 @@ def test_table_bounds_cap():
     assert len(critset_table(5, 50, 50, cap=50).cells) == 50 * 51
 
 
+def test_table_lower_bounds():
+    # t runs from 0: t_max = 0 is the t = 0 column, and n = 0 has only
+    # empty classes.  Each message names the bound that is out of range.
+    assert critset_table(0, 2, 0).cells == {(1, 0): 0, (2, 0): 0}
+    assert critset_table(4, 4, 0).cells == {(1, 0): 0, (2, 0): 0, (3, 0): 0, (4, 0): 1}
+    with pytest.raises(ValueError, match=r"^s_max must be >= 1$"):
+        critset_table(4, 0, 0)
+    with pytest.raises(ValueError, match=r"^t_max must be >= 0$"):
+        critset_table(4, 1, -1)
+
+
 def test_histogram_small_fixture():
     hist = critical_prefix_histogram(3)
     assert hist.bins == {2: 1, 3: 4}

@@ -2,6 +2,7 @@
 (listing and counting), the listings that go through it, and the Python
 fallback when it is missing."""
 
+import os
 import shutil
 import signal
 import stat
@@ -269,6 +270,18 @@ def test_cli_import_leaves_the_kernel_out():
     assert (res.returncode, res.stdout) == (0, "False False\n"), res.stderr
 
 
+def test_kernel_compiles_without_warnings(tmp_path):
+    # A failed build falls back to Python unnoticed, so the C file is kept
+    # free of warnings under the flags the build uses.
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    res = subprocess.run([cc, *_kernel._FLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "kernel.so"), _kernel._SOURCE],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_build_into_a_private_cache(tmp_path, monkeypatch):
     kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -293,12 +306,12 @@ def test_shared_cache_is_refused(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
-def interrupt(*argv, stdout=subprocess.PIPE):
-    """Start the CLI, send it SIGINT after a second, and return its exit
-    code, stdout (None when not piped) and stderr."""
+def interrupt(*argv, stdout=subprocess.PIPE, env=None):
+    """Start the CLI, in `env` if given, send it SIGINT after a second, and
+    return its exit code, stdout (None when not piped) and stderr."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "prefixnormal", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
     )
     try:
         time.sleep(1)
@@ -314,6 +327,16 @@ def interrupt(*argv, stdout=subprocess.PIPE):
 def test_ctrl_c_stops_a_long_count():
     # gen -n 40 --count-only counts for minutes even with the kernel.
     assert interrupt("gen", "-n", "40", "--count-only") == (130, "", "error: interrupted\n")
+
+
+def test_deep_count_without_a_compiler_runs_until_ctrl_c(tmp_path):
+    # No cc on PATH and an empty cache: the Python walk counts, and at
+    # n = 1000 it nests runs deeper than the interpreter's recursion limit.
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    env = {**os.environ, "PATH": str(empty), "XDG_CACHE_HOME": str(tmp_path)}
+    assert (interrupt("gen", "-n", "1000", "--cap", "1000", "--count-only", env=env)
+            == (130, "", "error: interrupted\n"))
 
 
 def test_ctrl_c_stops_a_long_table():

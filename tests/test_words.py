@@ -86,9 +86,12 @@ def test_oracle_enumerate_small_lengths():
 
 
 def test_oracle_enumerate_cap_refusal():
-    with pytest.raises(ValueError, match="cap"):
+    # The messages the CLI prints for the same refusals.
+    with pytest.raises(ValueError, match=r"^n=25 exceeds the oracle cap \(20\)$"):
         oracle_enumerate(25)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n=6 exceeds the oracle cap \(5\)$"):
+        oracle_enumerate(6, 5)
+    with pytest.raises(ValueError, match="^word length must be nonnegative$"):
         oracle_enumerate(-1)
 
 

@@ -16,7 +16,6 @@ import shutil
 import sys
 import zlib
 from collections import namedtuple
-from itertools import chain
 from operator import add
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
@@ -109,9 +108,11 @@ def _build():
         except struct.error:
             raise ValueError(_NOT_A_NODE) from None
 
-    def count(roots: list[list[int]], n: int) -> list[int]:
-        """Words in the subtree of each node whose 1s sit at the positions
-        in `roots`, as generate._count_run counts them, exact at any n.
+    def count(flat: list[int], lens: list[int], n: int) -> list[int]:
+        """Words in the subtree of each node of a batch, as
+        generate._count_run counts them, exact at any n.  The positions of
+        each root's 1s sit back to back in `flat`, and `lens` holds how
+        many each root has.
 
         One native call counts the roots one after another and stops after
         about _BUDGET steps in all, inside a root or not; each of its
@@ -119,16 +120,18 @@ def _build():
         partials add up here in Python ints.  Raises ValueError if a root
         is not a node of the tree.
         """
-        m = len(roots)
-        flat = ints(sum(map(len, roots)), chain.from_iterable(roots))
-        lens = ints(m, map(len, roots))
+        m = len(lens)
+        # The kernel reads each root where the lengths before it end.
+        if sum(lens) != len(flat) or min(lens, default=0) < 0:
+            raise ValueError("the lengths do not split the positions into roots")
+        roots, lengths = ints(len(flat), flat), ints(m, lens)
         parts = (ctypes.c_uint64 * m)()
         i = ctypes.c_int(0)
         pos, frames, k = state(n)
         totals = [0] * m
         while True:
             start = i.value
-            done = c_count(n, m, flat, lens, i, pos, frames, k, parts, _BUDGET)
+            done = c_count(n, m, roots, lengths, i, pos, frames, k, parts, _BUDGET)
             if done < 0:
                 raise ValueError(_NOT_A_NODE)
             stop = min(i.value + 1, m)

@@ -33,6 +33,9 @@ from .words import (
 GEN_CAP_ENV = "PREFIXNORMAL_GEN_CAP"
 ORACLE_CAP_ENV = "PREFIXNORMAL_ORACLE_CAP"
 
+# Words per write of a listing: one write per word cost more than the walk.
+_BATCH = 256
+
 # Commands that refuse n above a cap: the cap's name, the environment
 # variable that sets it, and its default.
 _CAPS = {
@@ -64,35 +67,45 @@ def _order(args) -> Order:
 
 
 def _emit_words(args, walk, count) -> None:
-    """Print `count()`, or stream the words that `walk(visit)` visits one at
-    a time in `args.format`.
+    """Print `count()`, or stream the words that `walk(visit)` visits in
+    `args.format`, _BATCH words per write.
 
     JSON's "count" field, from `count()`, precedes the words.  Both callables
     reject bad arguments before their first word, and a header is written
-    with the first word, so a rejected query writes nothing.
+    with the first batch, so a rejected query writes nothing.  The last
+    partial batch is written when the walk returns.
     """
     if args.count_only:
         print(count())
         return
-    write = sys.stdout.write
-    if args.format == "plain":
-        walk(lambda word: write(word + "\n"))
-        return
     # Written before the first word, between words, around each word, last.
-    if args.format == "csv":
+    if args.format == "plain":
+        head, sep, left, right, end = "", "", "", "\n", ""
+    elif args.format == "csv":
         head, sep, left, right, end = "word\n", "", "", "\n", ""
     else:
         # The layout of json.dumps({"count": ..., "words": [...]}).
         head, sep, left, right, end = f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n"
+    write = sys.stdout.write
+    join = (right + sep + left).join
+    batch, buf = _BATCH, []
     lead = head
 
-    def visit(word: str) -> None:
+    def flush() -> None:
         nonlocal lead
-        write(lead + left + word + right)
+        write(lead + left + join(buf) + right)
         lead = sep
+        buf.clear()
+
+    def visit(word: str) -> None:
+        buf.append(word)
+        if len(buf) == batch:
+            flush()
 
     if not walk(visit):
         write(head)
+    elif buf:
+        flush()
     write(end)
 
 

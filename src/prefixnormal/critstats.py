@@ -15,17 +15,19 @@ started.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 
 from .generate import DEFAULT_GEN_CAP, Order, _count, _tree, _visit_each
 from .words import _checked_length
 
 
-def _class(n: int, s: int, t: int) -> tuple[int, list[int] | None]:
-    """The class 1^s 0^t of length n (s >= 1, t >= 0) as (seeds, root):
-    seeds is 1 when the class holds its seed, its one word outside the
-    tree, and 0 when the class is empty; root is the 1-based positions of
-    the 1s of the seed's flip child, whose flip-subtree holds every other
-    word, or None when the seed has no flip child.
+def _classes(n: int, classes: list[tuple[int, int]]):
+    """The classes (s, t) of length n (s >= 1, t >= 0), in one pass, as
+    (sizes, flat, lens, rooted): sizes[i] is 1 when class i holds its seed,
+    its one word outside the tree, and 0 when the class is empty; flat
+    holds the 1-based positions of the 1s of each seed's flip child, whose
+    flip-subtree holds every other word, back to back, lens their lengths,
+    and rooted the indices of the classes whose seed has a flip child.
 
     The seed 1^s 0^t 1 0^(n-s-t-1) has its 1s at 1..s and s+t+1, so
     ops._run pairs them to min_flip 2t + 3 when s == 1 (the one pair
@@ -33,16 +35,26 @@ def _class(n: int, s: int, t: int) -> tuple[int, list[int] | None]:
     x + (s + 3 - x)).  With t == 0 and symbols left over, the next one would
     be a 1 and the leading 1-run longer than s, so the class is empty.
     """
-    if t == 0 or s + t >= n:
-        return int(s + t == n), None
-    phi = 2 * t + 3 if s == 1 else s + t + 2
-    return 1, ([*range(1, s + 1), s + t + 1, phi] if phi <= n else None)
+    sizes, flat, lens, rooted = [], [], [], []
+    for i, (s, t) in enumerate(classes):
+        if 0 < t < n - s:
+            sizes.append(1)
+            phi = 2 * t + 3 if s == 1 else s + t + 2
+            if phi <= n:
+                flat += range(1, s + 1)
+                flat += s + t + 1, phi
+                lens.append(s + 2)
+                rooted.append(i)
+        else:
+            sizes.append(int(s + t == n))
+    return sizes, flat, lens, rooted
 
 
 def _class_root(n: int, s: int, t: int) -> tuple[str | None, list[int] | None]:
     """The class 1^s 0^t as (seed, root): its seed word, or None for an
-    empty class, and the root of `_class`.  Raises ValueError for a query
-    that denotes no class.
+    empty class, and the positions of the 1s of the seed's flip child, or
+    None when it has none (`_classes`).  Raises ValueError for a query that
+    denotes no class.
 
     The seed is prefix normal by construction (t >= 1): a factor that
     reaches the lone 1 from the leading run spans the t zeros, so it never
@@ -53,19 +65,20 @@ def _class_root(n: int, s: int, t: int) -> tuple[str | None, list[int] | None]:
         raise ValueError("s must be >= 1; only the all-zero word has s == 0")
     if t < 0:
         raise ValueError("t must be >= 0")
-    seeds, root = _class(n, s, t)
+    (seeds,), root, _, _ = _classes(n, [(s, t)])
     if not seeds:
         return None, None
     lone = "1" + "0" * (n - s - t - 1) if s + t < n else ""
-    return "1" * s + "0" * t + lone, root
+    return "1" * s + "0" * t + lone, root or None
 
 
 def _sizes(n: int, classes: list[tuple[int, int]]) -> list[int]:
     """The sizes of the classes (s, t) of length n, with every flip-subtree
     counted in one `_count` batch."""
-    found = [_class(n, s, t) for s, t in classes]
-    counts = iter(_count([root for _, root in found if root], n))
-    return [seeds + next(counts) if root else seeds for seeds, root in found]
+    sizes, flat, lens, rooted = _classes(n, classes)
+    for i, count in zip(rooted, _count(flat, lens, n)):
+        sizes[i] += count
+    return sizes
 
 
 def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
@@ -197,9 +210,10 @@ def critical_prefix_histogram(n: int, cap: int | None = None) -> Histogram:
     (DEFAULT_GEN_CAP when None).
     """
     _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
-    pairs = [(s, t) for s in range(1, n + 1) for t in range(n - s + 1)]
-    bins = {n: 1}
-    for (s, t), count in zip(pairs, _sizes(n, pairs)):
-        if count:
-            bins[s + t] = bins.get(s + t, 0) + count
+    # Diagonal d holds the d classes s = 1..d, so each bin sums one slice.
+    # Bin n, which also holds the all-zero word, comes first.
+    sizes = iter(_sizes(n, [(s, d - s) for d in range(1, n + 1) for s in range(1, d + 1)]))
+    counts = [sum(islice(sizes, d)) for d in range(n + 1)]
+    counts[n] += 1
+    bins = {d: counts[d] for d in (n, *range(n)) if counts[d]}
     return Histogram(n=n, bins=bins, total=sum(bins.values()))

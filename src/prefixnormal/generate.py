@@ -26,12 +26,16 @@ splits into words for the iterators, the visitors and the CLI; in the
 other it counts a batch of subtrees in one call (`_count`), exactly at
 every n.  The Python walks are the reference and the path without a
 compiler; the listing walk is also the one an OpCounter is charged on.
+
+From the kernel's chunks to the caller every step is C-level: the chunks
+are split and chained (`itertools.chain`) and the head words are chained
+in front, so no Python generator resumes per listed word.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 
 from .ops import _run
 from .words import _checked_length, check_word, is_prefix_normal
@@ -147,10 +151,11 @@ def _tree(seed: str, order: Order, counter: OpCounter | None = None):
         _ones(seed), len(seed), order is Order.LEX)))
 
 
-def _count(roots: list[list[int]], n: int) -> list[int]:
-    """Number of words in the tree rooted at each node whose 1s sit at the
-    positions in `roots`, without yielding any.  Each root must be prefix
-    normal with at least two 1s.
+def _count(flat: list[int], lens: list[int], n: int) -> list[int]:
+    """Number of words in the tree rooted at each node of a batch, without
+    yielding any.  The positions of each root's 1s sit back to back in
+    `flat`, and `lens` holds how many each root has.  Each root must be
+    prefix normal with at least two 1s.
 
     The compiled kernel (`_kernel.load`) counts them all in one batch when
     it can be built, at any n; otherwise `_count_run`, the reference, counts
@@ -160,8 +165,9 @@ def _count(roots: list[list[int]], n: int) -> list[int]:
 
     kernel = _kernel.load()
     if kernel is None:
-        return [_count_run(a[:], n) for a in roots]
-    return kernel.count(roots, n)
+        positions = iter(flat)
+        return [_count_run(list(islice(positions, k)), n) for k in lens]
+    return kernel.count(flat, lens, n)
 
 
 def _count_run(a: list[int], n: int) -> int:
@@ -203,15 +209,27 @@ def _count_run(a: list[int], n: int) -> int:
 
 def _words(n: int, order: Order, counter: OpCounter | None = None):
     """The walk behind every listing of length n: the all-zero word, the
-    single-1 word, then the tree rooted at 110^(n-2)."""
+    single-1 word, then the tree rooted at 110^(n-2).
+
+    n is checked here, at call time.  The result is a C-level chain over
+    the head words and `_tree`, so taking a word resumes no Python frame
+    unless the Python walk lists it; a charged head word adds its n reads
+    as it is taken, so the counter still moves word by word.
+    """
     _checked_length(n)
-    for word in ("0" * n, "1" + "0" * (n - 1)) if n else ("",):
+    if n < 2:
         # Words of length <= 1 are emitted without counted work.
-        if counter and n > 1:
-            counter.add(n)
+        return iter(("0", "1") if n else ("",))
+    heads = ("0" * n, "1" + "0" * (n - 1))
+    if counter:
+        heads = _charged(heads, counter, n)
+    return chain(heads, _tree("11" + "0" * (n - 2), order, counter))
+
+
+def _charged(words, counter: OpCounter, reads: int):
+    for word in words:
+        counter.add(reads)
         yield word
-    if n > 1:
-        yield from _tree("11" + "0" * (n - 2), order, counter)
 
 
 def _checked_seed(seed: str) -> str:
@@ -272,4 +290,4 @@ def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     if n < 2:
         return n + 1
     # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).
-    return 2 + _count([[1, 2]], n)[0]
+    return 2 + _count([1, 2], [2], n)[0]

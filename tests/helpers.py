@@ -109,7 +109,7 @@ def reference_class_root(n: int, s: int, t: int) -> tuple[str | None, str | None
     words: the seed 1^s 0^t 1 0^(n-s-t-1), or 1^s 0^t when s + t == n, and
     its flip at min_flip.  seed is None for an empty class and root None
     when the seed has no flip child.  The reference for the closed-form
-    roots of critstats._class."""
+    roots of critstats._classes."""
     if s + t > n:
         return None, None
     if s + t == n:
@@ -119,6 +119,12 @@ def reference_class_root(n: int, s: int, t: int) -> tuple[str | None, str | None
     seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
     phi = min_flip(seed, validate=False)
     return seed, flip(seed, phi) if phi <= n else None
+
+
+def flat(roots: list[list[int]]) -> tuple[list[int], list[int]]:
+    """A batch of roots as generate._count takes it: their positions back
+    to back, and how many each root has."""
+    return [p for a in roots for p in a], [len(a) for a in roots]
 
 
 def pn_words(n: int) -> tuple[str, ...]:

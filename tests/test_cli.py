@@ -103,6 +103,23 @@ def test_gen_and_critset_output_equals_the_complete_list():
                 assert got == _expected(words, mode), (query, order, mode)
 
 
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_word_output_across_batch_boundaries(batch, monkeypatch):
+    # Word counts that fill whole batches and leave a last partial one
+    # (the class has 13 words), and an empty class: a dropped or repeated
+    # batch changes the bytes.
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    for order in Order:
+        queries = [(("gen", "-n", n), list(iter_all(n, order))) for n in range(10)]
+        queries += [(("critset", "-n", 9, "-s", s, "-t", t), _critset_words(9, s, t, order))
+                    for s, t in ((1, 1), (3, 0))]
+        assert [len(words) for _, words in queries[-2:]] == [13, 0]
+        for query, words in queries:
+            for fmt in ("plain", "csv", "json"):
+                got = run_in_process(*query, "--order", order.value, "--format", fmt)
+                assert got == (0, reference_emit_words(words, fmt)), (batch, query, order, fmt)
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "-n", 18, "--format", "json"),
     ("gen", "-n", 18, "--format", "csv"),
@@ -110,9 +127,9 @@ def test_gen_and_critset_output_equals_the_complete_list():
     ("critset", "-n", 18, "-s", 2, "-t", 1, "--format", "json"),
 ])
 def test_word_output_streams_in_bounded_memory(argv):
-    # 25,500 words from gen and 3,557 from the class, written one at a time:
-    # the peak of traced allocations stays far below what a list of the
-    # words would take.  The compiled walk is loaded first: its one-time
+    # 25,500 words from gen and 3,557 from the class, written a batch at a
+    # time: the peak of traced allocations stays far below what a list of
+    # the words would take.  The compiled walk is loaded first: its one-time
     # build and load is not part of the stream.
     _kernel.load()
     with contextlib.redirect_stdout(_Discard()):

@@ -16,7 +16,7 @@ from prefixnormal import (
     oracle_enumerate,
 )
 from prefixnormal import _kernel
-from prefixnormal.critstats import _class, _class_root
+from prefixnormal.critstats import _class_root, _classes
 
 from helpers import reference_class_root
 
@@ -66,16 +66,22 @@ def test_class_seeds_are_prefix_normal():
 
 
 def test_closed_form_roots_equal_the_flipped_seeds():
-    # _class reads each root off (s, t); the reference builds the seed word
-    # and flips it at min_flip.  One t past s + t == n checks empty classes.
+    # _classes reads each root off (s, t); the reference builds the seed
+    # word and flips it at min_flip.  One t past s + t == n checks empty
+    # classes, and each length's classes go in one batch.
     for n in range(0, 41):
-        for s in range(1, n + 2):
-            for t in range(0, n - s + 2):
-                seed, root = reference_class_root(n, s, t)
-                want = (int(seed is not None),
-                        [i for i, ch in enumerate(root, 1) if ch == "1"] if root else None)
-                assert _class(n, s, t) == want, (n, s, t)
-                assert _class_root(n, s, t) == (seed, want[1]), (n, s, t)
+        pairs = [(s, t) for s in range(1, n + 2) for t in range(0, n - s + 2)]
+        sizes, flat, lens, rooted = [], [], [], []
+        for i, (s, t) in enumerate(pairs):
+            seed, root = reference_class_root(n, s, t)
+            ones = [j for j, ch in enumerate(root, 1) if ch == "1"] if root else None
+            sizes.append(int(seed is not None))
+            if ones:
+                flat += ones
+                lens.append(len(ones))
+                rooted.append(i)
+            assert _class_root(n, s, t) == (seed, ones), (n, s, t)
+        assert _classes(n, pairs) == (sizes, flat, lens, rooted), n
 
 
 def test_spot_count():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from prefixnormal import (
     OpCounter,
     Order,
+    _kernel,
     bubble,
     count_pn,
     critical_prefix,
@@ -18,9 +19,9 @@ from prefixnormal import (
     min_flip,
     oracle_enumerate,
 )
-from prefixnormal.generate import _count, _count_run
+from prefixnormal.generate import _count, _count_run, _walk
 
-from helpers import pn_def_set, reference_inorder, reference_postorder
+from helpers import flat, pn_def_set, reference_inorder, reference_postorder
 
 GRAY_SUBTREE_8 = [
     "11000001", "11000011", "11000010", "11000101", "11000110", "11000100",
@@ -98,6 +99,24 @@ def test_small_length_listings():
     assert list(iter_all(4)) == [
         "0000", "1000", "1001", "1010", "1100", "1101", "1110", "1111",
     ]
+
+
+def test_iter_all_equals_the_python_walk_without_the_kernel(monkeypatch):
+    # The head words chained in front of the Python walk, with no kernel.
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for order in Order:
+        assert list(iter_all(0, order)) == [""]
+        assert list(iter_all(1, order)) == ["0", "1"]
+        for n in range(2, 13):
+            want = ["0" * n, "1" + "0" * (n - 1), *_walk("11" + "0" * (n - 2), order)]
+            assert list(iter_all(n, order)) == want, (n, order)
+
+
+def test_iter_all_checks_the_length_when_called():
+    # Like iter_pn, before any word is taken.
+    for order in Order:
+        with pytest.raises(ValueError, match="nonnegative"):
+            iter_all(-1, order)
 
 
 def test_full_enumeration_against_bruteforce():
@@ -202,7 +221,7 @@ def test_count_matches_the_walk():
     for n in range(2, 15):
         seeds = [w for w in oracle_enumerate(n) if w.count("1") >= 2]
         roots = [[i for i, ch in enumerate(w, 1) if ch == "1"] for w in seeds]
-        counts = _count(roots, n)
+        counts = _count(*flat(roots), n)
         assert counts == [sum(1 for _ in iter_pn(w)) for w in seeds], n
         assert counts == [_count_run(a, n) for a in roots], n
 

@@ -20,7 +20,7 @@ from prefixnormal.critstats import _class_root
 from prefixnormal.generate import _count, _count_run, _walk
 from prefixnormal.ops import _run
 
-from helpers import reference_class_root, run_in_process
+from helpers import flat, reference_class_root, run_in_process
 
 # count_pn(n) for n = 0 .. 21 (OEIS A194850).
 COUNTS = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185,
@@ -43,7 +43,7 @@ def native():
 def kernel():
     # One root per call; test_batch_resumes_after_any_budget counts batches.
     count = native().count
-    return lambda a, n: count([a], n)[0]
+    return lambda a, n: count(a, [len(a)], n)[0]
 
 
 def walk_lines(root, order):
@@ -130,7 +130,7 @@ def test_count_mode_equals_the_python_walk_on_every_node_up_to_14(monkeypatch):
     for budget in (1, 2, 3, 7, _kernel._BUDGET):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n, batch in batches.items():
-            assert count(batch, n) == want[n], (budget, n)
+            assert count(*flat(batch), n) == want[n], (budget, n)
 
 
 def test_batch_resumes_after_any_budget(monkeypatch):
@@ -141,7 +141,7 @@ def test_batch_resumes_after_any_budget(monkeypatch):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n in range(2, 21):
             batch = [ones(root) for root in roots(n)]
-            assert count(batch, n) == [_count_run(a[:], n) for a in batch], (budget, n)
+            assert count(*flat(batch), n) == [_count_run(a[:], n) for a in batch], (budget, n)
 
 
 def test_kernel_refuses_what_it_cannot_count():
@@ -155,7 +155,11 @@ def test_kernel_refuses_what_it_cannot_count():
         with pytest.raises(ValueError):
             count(a, n)
         with pytest.raises(ValueError):
-            native().count([[1, 2], a], n)
+            native().count(*flat([[1, 2], a]), n)
+    # Lengths that do not split the positions would read past the buffer.
+    for lens in ([3], [2, 3], [4, -1], [5, -1]):
+        with pytest.raises(ValueError, match="split"):
+            native().count([1, 2, 3, 4], lens, 6)
     for a, n in bad:
         with pytest.raises(ValueError):
             next(native().lines(a, n, True))
@@ -205,8 +209,8 @@ def test_long_words_count_in_the_kernel(monkeypatch):
         return _count_run(a, n)
 
     monkeypatch.setattr(generate, "_count_run", spy)
-    assert _count([list(range(1, 64))], 64) == [3]
-    assert _count([_class_root(64, 48, 3)[1]], 64) == [4095]
+    assert _count(*flat([list(range(1, 64))]), 64) == [3]
+    assert _count(*flat([_class_root(64, 48, 3)[1]]), 64) == [4095]
     assert calls == []
 
 
@@ -286,13 +290,13 @@ def test_build_into_a_private_cache(tmp_path, monkeypatch):
     kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     count = _kernel._build().count
-    assert count([ones("11" + "0" * 19)], 21) == [COUNTS[21] - 2]
+    assert count(*flat([ones("11" + "0" * 19)]), 21) == [COUNTS[21] - 2]
     cache = tmp_path / "prefixnormal"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]
     # A second build loads the cached library without compiling again.
     monkeypatch.setattr(shutil, "which", lambda name: "/nonexistent/cc")
-    assert _kernel._build().count([ones("11" + "0" * 19)], 21) == [COUNTS[21] - 2]
+    assert _kernel._build().count(*flat([ones("11" + "0" * 19)]), 21) == [COUNTS[21] - 2]
 
 
 def test_shared_cache_is_refused(tmp_path, monkeypatch):

@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
 from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all, iter_all
-from .infinite import ScanCapExceeded, density_profile, detect_period, extend_stream
+from .infinite import ScanCapExceeded, _blocks, _check_seed, density_profile, detect_period
 from .ops import min_flip
 from .words import (
     DEFAULT_ORACLE_CAP,
@@ -167,16 +168,9 @@ def cmd_extend(args) -> int:
         report = detect_period(w, scan_cap=args.scan_cap)
         print(report.to_json())
         return 0
-    # The stream, which checks the seed first, up to and including its
-    # (ones(w) + steps)-th 1.  A checked seed ends with a 1, so --steps 0
-    # prints it unchanged.
-    left, symbols = w.count("1") + args.steps, []
-    for ch in extend_stream(w):
-        symbols.append(ch)
-        left -= ch == "1"
-        if not left:
-            break
-    print("".join(symbols))
+    # The checked seed, which ends with a 1, then one block 0^k 1 per step.
+    w = _check_seed(w)
+    print(w + "".join(islice(_blocks(w), args.steps)))
     return 0
 
 

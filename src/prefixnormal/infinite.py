@@ -3,22 +3,23 @@
 Repeatedly appending the shortest run of 0s followed by a 1 (the densest
 extension that stays prefix normal) turns a finite word into an infinite one
 that is ultimately periodic.  `extend_min` finds each 0-run by trying every
-candidate with the quadratic test; it is the reference.  `extend_stream`
-computes it in closed form from the positions of the 1s among the last
-len(seed) - 1 symbols and the positions of the seed's 1s, at a cost of
-O(number of 1s in that window) per step.  Since that window is all the
-state the stream keeps, `detect_period` certifies the period exactly: it
-reads the stream until the window repeats at the end of a 1.  The
-period's length and number of 1s, fixed in advance by the seed's
+candidate with the quadratic test; it is the reference.  The fast path steps
+one block 0^k 1 at a time: it computes k in closed form from the positions
+of the 1s among the last len(seed) - 1 symbols and the positions of the
+seed's 1s, at a cost of O(number of 1s in that window) per step.
+`extend_stream` flattens the blocks into symbols.  Since that window is all
+the state the extension keeps, `detect_period` certifies the period exactly:
+it reads one block at a time until the window repeats at the end of a 1.
+The period's length and number of 1s, fixed in advance by the seed's
 minimum-density prefix, are then checked against the certified tail.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from itertools import islice
-from math import comb
-from operator import add
+from itertools import chain, islice
+from math import comb, inf
+from operator import add, index
 
 from .words import check_word, is_prefix_normal
 
@@ -87,15 +88,16 @@ def extend_stream(w: str):
     always exists: the word stays prefix normal, so the window holds at most
     as many 1s as w's first len(w) - 1 symbols.  Only the positions of the 1s
     in the window are kept, so a step costs O(number of those 1s).  The
-    seed is checked when this is called.
+    seed is checked when this is called; the symbols are the seed's, then
+    those of each block 0^k 1 in turn, with no Python frame per symbol.
     """
-    return _stream(_check_seed(w))
+    return chain(_check_seed(w), chain.from_iterable(_blocks(w)))
 
 
-def _stream(w: str):
-    """extend_stream without the seed check, for callers that made it."""
+def _blocks(w: str):
+    """The blocks "0" * k + "1" that extend a checked seed w, one per step
+    (see `extend_stream`)."""
     size = len(w)
-    yield from w
     ones = [i for i, ch in enumerate(w, 1) if ch == "1"]
     nxt = ones[1:]  # nxt[i] = P_{i+2}, paired with the (i+1)-th most recent 1
     end = size
@@ -103,8 +105,7 @@ def _stream(w: str):
     while True:
         # P_{i+1} - d_i - 1 with d_i = end - pos + 1
         k = max(0, max(map(add, nxt, reversed(recent)), default=0) - end - 2)
-        yield from "0" * k
-        yield "1"
+        yield "0" * k + "1"
         end += k + 1
         recent.append(end)
         while recent and recent[0] < end - size + 2:
@@ -164,19 +165,26 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     repeats at the end of a 1, the stream is provably periodic from the
     window's earlier occurrence on, with the distance between the two
     occurrences as its period; this needs no bound, because there are
-    finitely many windows.  The decomposition is then canonicalized: the
-    period is read off the block grid anchored at the end of the seed, with
-    the seed's minimum-density prefix length as block length, and whole
-    blocks are peeled backwards as long as they match, so the period is
-    never a suffix of the preperiod.
+    finitely many windows.  The scan advances one block 0^k 1 at a time, so
+    the window is looked up once per 1.  The decomposition is then
+    canonicalized: the period is read off the block grid anchored at the
+    end of the seed, with the seed's minimum-density prefix length as block
+    length, and whole blocks are peeled backwards as long as they match, so
+    the period is never a suffix of the preperiod.
 
     `preperiod_bound` is the paper's bound on the preperiod, (C(iota, kappa)
     - 1) * m * iota with m = ceil(len(w) / iota); it is checked, not used to
-    size the scan.  Raises ScanCapExceeded if `scan_cap` symbols are read
-    before the window repeats; with no cap, the scan always ends.
+    size the scan.  Raises ScanCapExceeded, carrying exactly the first
+    `scan_cap` symbols, if that many are read before the window repeats;
+    with no cap, the scan always ends.  A cap that is not an integer >= 1
+    raises ValueError.
     """
-    if scan_cap is not None and scan_cap < 1:
-        raise ValueError("scan_cap must be >= 1")
+    try:
+        cap = inf if scan_cap is None else index(scan_cap)
+    except TypeError:
+        cap = 0  # not an integer: refused below
+    if cap < 1:
+        raise ValueError("scan_cap must be an integer >= 1")
     _check_seed(w)
     prof = density_profile(w)
     iota, kappa = prof.length, prof.ones
@@ -184,18 +192,24 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     m = -(-seed_len // iota)
     bound = (comb(iota, kappa) - 1) * m * iota
 
-    v: list[str] = []
-    seen: dict[str, int] = {}
-    for ch in _stream(w):
-        v.append(ch)
-        if ch == "1" and len(v) >= seed_len:
-            first = seen.setdefault("".join(v[len(v) - seed_len + 1 :]), len(v))
-            if first < len(v):
-                break
-        if len(v) == scan_cap:
-            raise ScanCapExceeded(w, scan_cap, "".join(v))
+    # The window is the last seed_len - 1 symbols; seen maps each window
+    # that ends a 1 to the length read when it first did.
+    window = w[1:]
+    seen = {window: seed_len}
+    length = seed_len
+    blocks = []
+    for block in _blocks(w):
+        blocks.append(block)
+        length += len(block)
+        window = (window + block)[len(block):]
+        first = seen.setdefault(window, length)
+        if first < length <= cap:
+            break
+        if length >= cap:
+            raise ScanCapExceeded(w, cap, (w + "".join(blocks))[:cap])
+    v = w + "".join(blocks)
     # v[i - 1] == v[i - 1 + period] for every i >= periodic_from.
-    period = len(v) - first
+    period = length - first
     periodic_from = first - seed_len + 2
 
     # Anchor the period grid at the end of the seed and peel whole blocks
@@ -206,9 +220,9 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     x = "".join(v[periodic_from - 1 + (i - periodic_from) % period]
                 for i in range(a, a + iota))
     q = a
-    while q - iota >= 1 and "".join(v[q - iota - 1 : q - 1]) == x:
+    while q - iota >= 1 and v[q - iota - 1 : q - 1] == x:
         q -= iota
-    u = "".join(v[: q - 1])
+    u = v[: q - 1]
 
     checks = {
         "length_ok": iota % period == 0,
@@ -225,6 +239,6 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
         period=x,
         m_blocks=m,
         preperiod_bound=bound,
-        scanned_length=len(v),
+        scanned_length=length,
         checks=checks,
     )

@@ -1,4 +1,4 @@
-"""Byte-identity gate for the CLI: run a fixed set of about 9,500 argv
+"""Byte-identity gate for the CLI: run a fixed set of about 22,300 argv
 through `cli.main` in this process and write one line per argv: the argv,
 the exit code, the SHA-256 of stdout and stderr as a JSON string.
 
@@ -58,6 +58,20 @@ def argvs():
         for n in (-1, 6):
             for cap in (-5, 0, 5, 6, 64):
                 yield (*cmd, "-n", n, "--cap", cap)
+    # Every binary word of length <= 8, prefix normal or not, ending in 0
+    # or 1.  No seed of that length scans more than 18 symbols before its
+    # period is certified, so caps 1..20 fall inside the seed, inside each
+    # 0-run, and on each side of every certified length.
+    for n in range(9):
+        for i in range(2**n):
+            w = format(i, f"0{n}b") if n else ""
+            yield ("check", w)
+            for steps in range(13):
+                yield ("extend", w, "--steps", steps)
+            yield ("extend", w, "--detect")
+            if w.endswith("1"):
+                for cap in range(1, 21):
+                    yield ("extend", w, "--detect", "--scan-cap", cap)
 
 
 def main(argv):

@@ -317,6 +317,66 @@ def reference_detect_period(w: str, scan_cap: int | None = None) -> ExtensionRep
     )
 
 
+def reference_detect_period_by_symbol(w: str, scan_cap: int | None = None) -> ExtensionReport:
+    """The window certificate read one symbol at a time: every symbol goes
+    into a list, and the last len(w) - 1 of them are joined and looked up at
+    every 1.  The reference for `detect_period`'s block scan, field for
+    field, `scanned_length` and the ScanCapExceeded prefix included."""
+    if scan_cap is not None and scan_cap < 1:
+        raise ValueError("scan_cap must be >= 1")
+    _check_seed(w)
+    prof = density_profile(w)
+    iota, kappa = prof.length, prof.ones
+    seed_len = len(w)
+    m = -(-seed_len // iota)
+    bound = (comb(iota, kappa) - 1) * m * iota
+
+    v: list[str] = []
+    seen: dict[str, int] = {}
+    for ch in extend_stream(w):
+        v.append(ch)
+        if ch == "1" and len(v) >= seed_len:
+            first = seen.setdefault("".join(v[len(v) - seed_len + 1 :]), len(v))
+            if first < len(v):
+                break
+        if len(v) == scan_cap:
+            raise ScanCapExceeded(w, scan_cap, "".join(v))
+    # v[i - 1] == v[i - 1 + period] for every i >= periodic_from.
+    period = len(v) - first
+    periodic_from = first - seed_len + 2
+
+    # Anchor the period grid at the end of the seed and peel whole blocks
+    # backwards to the shortest preperiod consistent with that grid.
+    a = periodic_from
+    while (a - 1) % iota != seed_len % iota:
+        a += 1
+    x = "".join(v[periodic_from - 1 + (i - periodic_from) % period]
+                for i in range(a, a + iota))
+    q = a
+    while q - iota >= 1 and "".join(v[q - iota - 1 : q - 1]) == x:
+        q -= iota
+    u = "".join(v[: q - 1])
+
+    checks = {
+        "length_ok": iota % period == 0,
+        "weight_ok": x.count("1") == kappa,
+        "bound_ok": len(u) <= bound,
+        "aligned_pn_ok": (len(u) % iota != 0) or is_prefix_normal(x),
+    }
+    return ExtensionReport(
+        seed=w,
+        density=prof.density,
+        block_len=iota,
+        block_ones=kappa,
+        preperiod=u,
+        period=x,
+        m_blocks=m,
+        preperiod_bound=bound,
+        scanned_length=len(v),
+        checks=checks,
+    )
+
+
 def run_in_process(*args):
     """(exit code, stdout) of the CLI called in this process."""
     out = io.StringIO()

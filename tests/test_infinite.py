@@ -22,6 +22,7 @@ from prefixnormal import (
 from helpers import (
     prefix_normal_form,
     reference_detect_period,
+    reference_detect_period_by_symbol,
     reference_extend_stream,
     seeds_ending_in_one,
     verify_densest,
@@ -216,6 +217,17 @@ def test_detect_period_cap():
             detect_period("101", scan_cap=cap)
 
 
+def test_detect_period_refuses_a_cap_that_is_not_an_integer():
+    # 2.5 used to be compared with each length read and never met, and "5"
+    # raised TypeError.
+    for cap in (2.5, 5.0, "5", [5]):
+        with pytest.raises(ValueError, match="scan_cap must be an integer >= 1"):
+            detect_period("101", scan_cap=cap)
+    with pytest.raises(ScanCapExceeded) as exc:
+        detect_period("101", scan_cap=True)
+    assert exc.value.scanned_prefix == "1"
+
+
 def test_detect_period_checks_the_seed_once(monkeypatch):
     # The seed's quadratic check runs once; the only other call is the
     # aligned_pn_ok check of a period block that starts on the grid.
@@ -249,6 +261,38 @@ def test_detect_period_equals_block_run_certificate():
 @given(pn_seeds(13, 48))
 def test_detect_period_equals_block_run_certificate_on_random_seeds(seed):
     _same_report_but_scan(seed)
+
+
+def _outcome(detect, seed, cap=None):
+    """The report of detect(seed, scan_cap=cap), or the (seed, cap, prefix)
+    of the ScanCapExceeded it raises."""
+    try:
+        return detect(seed, scan_cap=cap)
+    except ScanCapExceeded as exc:
+        return exc.seed, exc.scan_cap, exc.scanned_prefix
+
+
+def test_detect_period_equals_symbol_scan_at_every_cap():
+    for seed in seeds_ending_in_one(14):
+        want = reference_detect_period_by_symbol(seed)
+        assert detect_period(seed) == want, seed
+        for cap in range(1, want.scanned_length + 2):
+            assert (_outcome(detect_period, seed, cap)
+                    == _outcome(reference_detect_period_by_symbol, seed, cap)), (seed, cap)
+
+
+@settings(max_examples=100)
+@given(pn_seeds(13, 128), st.data())
+def test_detect_period_equals_symbol_scan_on_random_seeds(seed, data):
+    want = reference_detect_period_by_symbol(seed)
+    assert detect_period(seed) == want
+    # Caps inside the seed, at its end, at the end of the scan and anywhere
+    # in between, mostly inside a 0-run.
+    end = want.scanned_length
+    drawn = data.draw(st.lists(st.integers(1, end + 1), max_size=4))
+    for cap in {1, len(seed) - 1, len(seed), len(seed) + 1, end - 1, end, end + 1, *drawn}:
+        assert (_outcome(detect_period, seed, cap)
+                == _outcome(reference_detect_period_by_symbol, seed, cap)), cap
 
 
 def test_detect_period_certifies_long_seeds():

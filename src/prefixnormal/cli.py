@@ -168,9 +168,14 @@ def cmd_extend(args) -> int:
         report = detect_period(w, scan_cap=args.scan_cap)
         print(report.to_json())
         return 0
-    # The checked seed, which ends with a 1, then one block 0^k 1 per step.
+    # The checked seed, which ends with a 1, then one block 0^k 1 per step,
+    # _BATCH blocks per write so that memory does not grow with --steps.
     w = _check_seed(w)
-    print(w + "".join(islice(_blocks(w), args.steps)))
+    blocks, write = islice(_blocks(w), args.steps), sys.stdout.write
+    write(w)
+    for chunk in iter(lambda: "".join(islice(blocks, _BATCH)), ""):
+        write(chunk)
+    write("\n")
     return 0
 
 

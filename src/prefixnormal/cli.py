@@ -34,7 +34,8 @@ from .words import (
 GEN_CAP_ENV = "PREFIXNORMAL_GEN_CAP"
 ORACLE_CAP_ENV = "PREFIXNORMAL_ORACLE_CAP"
 
-# Words per write of a listing: one write per word cost more than the walk.
+# Words (or extension blocks) per write: one write per word cost more than
+# the walk.
 _BATCH = 256
 
 # Commands that refuse n above a cap: the cap's name, the environment

@@ -212,20 +212,11 @@ def test_detect_period_cap():
     assert exc.value.seed == "101"
     # the window repeats at the fifth symbol, so a cap of 5 is enough
     assert detect_period("101", scan_cap=5).scanned_length == 5
-    for cap in (0, -5):
-        with pytest.raises(ValueError, match="scan_cap"):
-            detect_period("101", scan_cap=cap)
-
-
-def test_detect_period_refuses_a_cap_that_is_not_an_integer():
-    # 2.5 used to be compared with each length read and never met, and "5"
-    # raised TypeError.
-    for cap in (2.5, 5.0, "5", [5]):
+    # A cap of 2.5 used to be compared with each length read and never met,
+    # and "5" raised TypeError.
+    for cap in (0, -5, 2.5, 5.0, "5", [5]):
         with pytest.raises(ValueError, match="scan_cap must be an integer >= 1"):
             detect_period("101", scan_cap=cap)
-    with pytest.raises(ScanCapExceeded) as exc:
-        detect_period("101", scan_cap=True)
-    assert exc.value.scanned_prefix == "1"
 
 
 def test_detect_period_checks_the_seed_once(monkeypatch):

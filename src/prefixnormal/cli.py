@@ -64,10 +64,6 @@ def _checked_cap(args) -> int:
     return cap
 
 
-def _order(args) -> Order:
-    return Order.LEX if args.order == "lex" else Order.GRAY
-
-
 def _emit_words(args, walk, count) -> None:
     """Print `count()`, or stream the words that `walk(visit)` visits in
     `args.format`, _BATCH words per write.
@@ -116,21 +112,20 @@ def _emit_report(report, fmt: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    _emit_words(args, lambda visit: generate_all(args.n, visit, _order(args)),
+    _emit_words(args, lambda visit: generate_all(args.n, visit, Order(args.order)),
                 lambda: count_pn(args.n, cap=args.cap))
     return 0
 
 
 def cmd_critset(args) -> int:
-    _emit_words(args, lambda visit: critset(args.n, args.s, args.t, visit, _order(args)),
+    _emit_words(args, lambda visit: critset(args.n, args.s, args.t, visit, Order(args.order)),
                 lambda: critset_count(args.n, args.s, args.t))
     return 0
 
 
 def cmd_table(args) -> int:
     t_max = args.t_max if args.t_max is not None else args.n
-    _emit_report(critset_table(args.n, args.s_max, t_max, jobs=args.jobs, cap=args.cap),
-                 args.format)
+    _emit_report(critset_table(args.n, args.s_max, t_max, cap=args.cap), args.format)
     return 0
 
 
@@ -160,8 +155,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    if args.steps < 0:
+    steps = 1 if args.steps is None else args.steps
+    if steps < 0:
         raise ValueError("--steps must be >= 0")
+    if args.detect and args.steps is not None:
+        raise ValueError("--steps applies only without --detect")
     if args.scan_cap is not None and not args.detect:
         raise ValueError("--scan-cap applies only with --detect")
     w = args.word
@@ -172,7 +170,7 @@ def cmd_extend(args) -> int:
     # The checked seed, which ends with a 1, then one block 0^k 1 per step,
     # _BATCH blocks per write so that memory does not grow with --steps.
     w = _check_seed(w)
-    blocks, write = islice(_blocks(w), args.steps), sys.stdout.write
+    blocks, write = islice(_blocks(w), steps), sys.stdout.write
     write(w)
     for chunk in iter(lambda: "".join(islice(blocks, _BATCH)), ""):
         write(chunk)
@@ -235,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sized("table", "matrix of critical-prefix class sizes", cmd_table)
     p.add_argument("--s-max", type=int, default=7)
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sized("hist", "histogram of critical prefix lengths", cmd_hist)
@@ -247,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="extend a word or detect its ultimate period")
     p.add_argument("word")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=int, default=None)  # None: 1
     p.add_argument("--detect", action="store_true")
     p.add_argument("--scan-cap", type=int, default=None)
     p.set_defaults(func=cmd_extend)

@@ -15,7 +15,7 @@ started.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
+from itertools import chain, islice
 
 from .generate import DEFAULT_GEN_CAP, Order, _count, _tree, _visit_each
 from .words import _checked_length
@@ -92,18 +92,13 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     seed, root = _class_root(n, s, t)
     if seed is None:
         return 0
-    if order is Order.LEX:
-        visit(seed)
-    # In post-order the flip subtree ends on its own root, one flipped
-    # position away from the seed word, which comes last.  The root, a flip
-    # child of a prefix normal seed, is listed without re-checking it.
-    count = 1
-    if root:
-        word = seed[:root[-1] - 1] + "1" + seed[root[-1]:]
-        count += _visit_each(_tree(word, order), visit)
-    if order is Order.GRAY:
-        visit(seed)
-    return count
+    # LEX lists the seed before its flip subtree.  In post-order the subtree
+    # ends on its own root, one flipped position away from the seed, which
+    # comes last.  The root, a flip child of a prefix normal seed, is listed
+    # without re-checking it.
+    tree = _tree(seed[:root[-1] - 1] + "1" + seed[root[-1]:], order) if root else ()
+    return _visit_each(chain((seed,), tree) if order is Order.LEX else chain(tree, (seed,)),
+                       visit)
 
 
 def critset_count(n: int, s: int, t: int) -> int:

@@ -38,7 +38,7 @@ from enum import Enum
 from itertools import chain, islice
 
 from .ops import _run
-from .words import _checked_length, check_word, is_prefix_normal
+from .words import _checked_length, _ones, check_word, is_prefix_normal
 
 DEFAULT_GEN_CAP = 40
 
@@ -129,10 +129,6 @@ def _walk(seed: str, order: Order, counter: OpCounter | None = None):
                 ctr.add(1)
             if not lex:
                 yield word
-
-
-def _ones(seed: str) -> list[int]:
-    return [i for i, ch in enumerate(seed, 1) if ch == "1"]
 
 
 def _tree(seed: str, order: Order, counter: OpCounter | None = None):

@@ -3,15 +3,15 @@
 Repeatedly appending the shortest run of 0s followed by a 1 (the densest
 extension that stays prefix normal) turns a finite word into an infinite one
 that is ultimately periodic.  `extend_min` finds each 0-run by trying every
-candidate with the quadratic test; it is the reference.  The fast path steps
-one block 0^k 1 at a time: it computes k in closed form from the positions
-of the 1s among the last len(seed) - 1 symbols and the positions of the
-seed's 1s, at a cost of O(number of 1s in that window) per step.
-`extend_stream` flattens the blocks into symbols.  Since that window is all
-the state the extension keeps, `detect_period` certifies the period exactly:
-it reads one block at a time until the window repeats at the end of a 1.
-The period's length and number of 1s, fixed in advance by the seed's
-minimum-density prefix, are then checked against the certified tail.
+candidate with the quadratic test; it is the reference.  The fast path,
+`_blocks`, steps one block 0^k 1 at a time, with k in closed form from the
+1s of the seed and those among the last len(seed) - 1 symbols, the window,
+in O(number of 1s in the window).  `extend_stream` flattens the blocks,
+and `ops.min_flip` reads the first.  The window is all the state the
+extension keeps, so `detect_period` certifies the period exactly: it
+appends blocks to the string read so far until its window repeats at the
+end of a 1.  The period's length and number of 1s, fixed in advance by
+the seed's minimum-density prefix, are then checked against the tail.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import chain, islice
 from math import comb, inf
 from operator import add, index
 
-from .words import check_word, is_prefix_normal
+from .words import _ones, check_word, is_prefix_normal
 
 
 class DensityProfile(namedtuple("DensityProfile", "density length ones")):
@@ -98,7 +98,7 @@ def _blocks(w: str):
     """The blocks "0" * k + "1" that extend a checked seed w, one per step
     (see `extend_stream`)."""
     size = len(w)
-    ones = [i for i, ch in enumerate(w, 1) if ch == "1"]
+    ones = _ones(w)
     nxt = ones[1:]  # nxt[i] = P_{i+2}, paired with the (i+1)-th most recent 1
     end = size
     recent = deque(ones[1:])  # positions of the 1s in the window
@@ -192,22 +192,18 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     m = -(-seed_len // iota)
     bound = (comb(iota, kappa) - 1) * m * iota
 
-    # The window is the last seed_len - 1 symbols; seen maps each window
-    # that ends a 1 to the length read when it first did.
-    window = w[1:]
-    seen = {window: seed_len}
-    length = seed_len
-    blocks = []
+    # v is what has been read, the window its last seed_len - 1 symbols;
+    # seen maps each window that ends a 1 to the length read when it first did.
+    v = w
+    seen = {w[1:]: seed_len}
     for block in _blocks(w):
-        blocks.append(block)
-        length += len(block)
-        window = (window + block)[len(block):]
-        first = seen.setdefault(window, length)
+        v += block
+        length = len(v)
+        first = seen.setdefault(v[length - seed_len + 1:], length)
         if first < length <= cap:
             break
         if length >= cap:
-            raise ScanCapExceeded(w, cap, (w + "".join(blocks))[:cap])
-    v = w + "".join(blocks)
+            raise ScanCapExceeded(w, cap, v[:cap])
     # v[i - 1] == v[i - 1 + period] for every i >= periodic_from.
     period = length - first
     periodic_from = first - seed_len + 2

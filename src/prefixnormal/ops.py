@@ -2,18 +2,19 @@
 
 `min_flip` is the workhorse: for a prefix normal word it finds the smallest
 position past the rightmost 1 where a 1 can be written without breaking
-prefix normality (the sentinel n+1 means "nowhere").  It has a closed form
-in the positions of the 1s, pairing the i-th 1 from the left with the i-th
-from the right, so it costs O(number of 1s) instead of a scan of the word.
-Sliding the rightmost 1 moves only one of those pair sums, so one such
-pass (`_run`) gives min_flip at every node of the slide run and the range
-of nodes where a flip fits; both generator walks use it.
+prefix normality (the sentinel n+1 means "nowhere").  That is where the
+densest extension of the word up to its rightmost 1 puts its next 1, so
+it is read off that extension's first block (`infinite._blocks`), in
+O(number of 1s).  Sliding the rightmost 1 moves only one pair sum of that
+closed form, so one pass (`_run`) gives min_flip at every node of the
+slide run and the range of nodes where a flip fits; both walks use it.
 """
 
 from __future__ import annotations
 
 from operator import add
 
+from .infinite import _blocks
 from .words import check_word, is_prefix_normal
 
 
@@ -80,9 +81,5 @@ def min_flip(w: str, *, validate: bool = True) -> int:
         raise ValueError("an all-zero word has no flip position")
     if validate and not is_prefix_normal(w):
         raise ValueError("word is not prefix normal")
-    a = [i for i, ch in enumerate(w, 1) if ch == "1"]
-    r, n = a[-1], len(w)
-    if len(a) == 1:
-        return min(n + 1, r + 1)
-    rest, second, _, _ = _run(a, n)
-    return min(n + 1, max(rest, (second or r) + r) - 1)
+    r = w.rfind("1") + 1
+    return min(len(w) + 1, r + len(next(_blocks(w[:r]))))

@@ -31,6 +31,10 @@ def _checked_length(n: int, cap: int | None = None, kind: str = "enumeration") -
         raise ValueError("word length must be nonnegative")
 
 
+def _ones(w: str) -> list[int]:
+    return [i for i, ch in enumerate(w, 1) if ch == "1"]
+
+
 def prefix_counts(w: str) -> list[int]:
     """The running count of 1s: counts[i] is the number of 1s in the i-length prefix."""
     counts = [0] * (len(w) + 1)

@@ -191,11 +191,17 @@ def test_table_csv_and_jobs_determinism():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.splitlines()[0] == "s\\t,0,1,2,3,4"
-    c = run("table", "-n", "10", "--s-max", "3", "--t-max", "4", "--jobs", "2")
-    assert c.stdout == a.stdout
-    res = run("table", "-n", "10", "--jobs", "0")
-    assert res.returncode == 2
-    assert "jobs" in res.stderr and res.stdout == ""
+
+
+def test_table_jobs_is_refused():
+    # Every count runs in the calling process, so there is no --jobs.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "-n", "10", "--jobs", "2"])
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    assert err.getvalue() == (cli._build_parser().format_usage()
+                              + "prefixnormal: error: unrecognized arguments: --jobs 2\n")
 
 
 def test_table_negative_length():
@@ -230,11 +236,11 @@ def test_table_bounds_above_the_cap_exit_2():
 
 
 def test_table_counts_in_one_process():
-    # Any --jobs is accepted, but no worker pool machinery is even imported.
+    # No worker pool machinery is even imported.
     probe = (
         "import sys\n"
         "from prefixnormal import cli\n"
-        "code = cli.main(['table', '-n', '21', '--jobs', '2'])\n"
+        "code = cli.main(['table', '-n', '21'])\n"
         "pools = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
         "print(code, sorted(pools), file=sys.stderr)\n"
     )
@@ -378,6 +384,14 @@ def test_extend_scan_cap_needs_detect():
         assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
 
 
+def test_extend_detect_refuses_steps():
+    # --detect reads no --steps; any value given with it is refused.
+    for steps in ("1", "0"):
+        res = run("extend", "101", "--detect", "--steps", steps)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: --steps applies only without --detect\n"
+
+
 def test_extend_detect_long_seed():
     # Its paper bound on the preperiod is beyond 2**63.
     seed = "1111010110101010111010110001000100000110000010000001000010010001"
@@ -428,7 +442,6 @@ _COMMANDS = {
     "gen": ([], {"-n": _N, "--cap": _VALUE, **_LISTING}),
     "critset": ([], {"-n": _N, "-s": _VALUE, "-t": _VALUE, "--cap": _VALUE, **_LISTING}),
     "table": ([], {"-n": _N, "--cap": _VALUE, "--s-max": _VALUE, "--t-max": _VALUE,
-                   "--jobs": _VALUE,
                    "--format": st.sampled_from(["csv", "json", "plain"])}),
     "hist": ([], {"-n": _N, "--cap": _VALUE, "--format": st.sampled_from(["csv", "json", "plain"])}),
     "check": ([_WORD], {}),

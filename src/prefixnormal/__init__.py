@@ -44,7 +44,6 @@ from .words import (
     critical_prefix,
     hamming,
     is_prefix_normal,
-    last_one,
     oracle_enumerate,
     prefix_counts,
 )

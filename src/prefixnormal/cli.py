@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
-from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all, iter_all
+from .generate import DEFAULT_GEN_CAP, Order, _visit_each, count_pn, generate_all, iter_all
 from .infinite import ScanCapExceeded, _blocks, _check_seed, density_profile, detect_period
 from .ops import min_flip
 from .words import (
@@ -27,7 +27,6 @@ from .words import (
     critical_prefix,
     hamming,
     is_prefix_normal,
-    last_one,
     oracle_enumerate,
 )
 
@@ -65,25 +64,26 @@ def _checked_cap(args) -> int:
 
 
 def _emit_words(args, walk, count) -> None:
-    """Print `count()`, or stream the words that `walk(visit)` visits in
-    `args.format`, _BATCH words per write.
-
-    JSON's "count" field, from `count()`, precedes the words.  Both callables
-    reject bad arguments before their first word, and a header is written
-    with the first batch, so a rejected query writes nothing.  The last
-    partial batch is written when the walk returns.
-    """
+    """Print `count()`, or `_write` the words that `walk(visit)` visits in
+    `args.format`, JSON's "count" from `count()` first.  Both callables
+    reject bad arguments before their first word, so a rejected query writes
+    nothing."""
     if args.count_only:
         print(count())
-        return
-    # Written before the first word, between words, around each word, last.
-    if args.format == "plain":
-        head, sep, left, right, end = "", "", "", "\n", ""
+    elif args.format == "plain":
+        _write(walk, "", "", "", "\n", "")
     elif args.format == "csv":
-        head, sep, left, right, end = "word\n", "", "", "\n", ""
+        _write(walk, "word\n", "", "", "\n", "")
     else:
         # The layout of json.dumps({"count": ..., "words": [...]}).
-        head, sep, left, right, end = f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n"
+        _write(walk, f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n")
+
+
+def _write(walk, head, sep, left, right, end) -> None:
+    """Write the words that `walk(visit)` visits, _BATCH per write: `head`
+    first (alone if the walk visits none), `sep` between words, `left` and
+    `right` around each, the last partial batch when the walk returns, then
+    `end`."""
     write = sys.stdout.write
     join = (right + sep + left).join
     batch, buf = _BATCH, []
@@ -141,7 +141,7 @@ def cmd_check(args) -> int:
     pn = is_prefix_normal(w)
     prof = density_profile(w)
     cp = critical_prefix(w)
-    report: dict = {"is_prefix_normal": pn, "r": last_one(w)}
+    report: dict = {"is_prefix_normal": pn, "r": w.rfind("1") + 1 or None}
     if pn and "1" in w:
         report["phi"] = min_flip(w, validate=False)
     report["critical_prefix"] = {"s": cp.s, "t": cp.t}
@@ -167,14 +167,10 @@ def cmd_extend(args) -> int:
         report = detect_period(w, scan_cap=args.scan_cap)
         print(report.to_json())
         return 0
-    # The checked seed, which ends with a 1, then one block 0^k 1 per step,
-    # _BATCH blocks per write so that memory does not grow with --steps.
+    # The checked seed, which ends with a 1, then one block 0^k 1 per step.
     w = _check_seed(w)
-    blocks, write = islice(_blocks(w), steps), sys.stdout.write
-    write(w)
-    for chunk in iter(lambda: "".join(islice(blocks, _BATCH)), ""):
-        write(chunk)
-    write("\n")
+    _write(lambda visit: _visit_each(chain((w,), islice(_blocks(w), steps)), visit),
+           "", "", "", "", "\n")
     return 0
 
 

@@ -6,10 +6,10 @@ without touching the rest of the language, and counted by the generator's
 counting walk without building a single word.  These classes partition
 every nonzero word, so class sizes are the only counting path: the (s, t)
 table lists them, and the histogram of critical prefix lengths folds them
-along the diagonals s + t, with the all-zero word added to bin n.  Each
-class root comes in closed form from (s, t), so both count all their
-classes in one `_count` batch in the calling process; no worker is ever
-started.
+along the diagonals s + t, with the all-zero word added to bin n.  Every
+entry point reads its class roots in closed form from (s, t) (`_classes`):
+`critset` lists a seed and its root's subtree, and a count, of one class or
+of a table or histogram, is one `_count` batch in the calling process.
 """
 
 from __future__ import annotations
@@ -50,26 +50,13 @@ def _classes(n: int, classes: list[tuple[int, int]]):
     return sizes, flat, lens, rooted
 
 
-def _class_root(n: int, s: int, t: int) -> tuple[str | None, list[int] | None]:
-    """The class 1^s 0^t as (seed, root): its seed word, or None for an
-    empty class, and the positions of the 1s of the seed's flip child, or
-    None when it has none (`_classes`).  Raises ValueError for a query that
-    denotes no class.
-
-    The seed is prefix normal by construction (t >= 1): a factor that
-    reaches the lone 1 from the leading run spans the t zeros, so it never
-    holds more 1s than the prefix of its length.
-    """
+def _checked_class(n: int, s: int, t: int) -> None:
+    """Raise ValueError for a query (n, s, t) that denotes no class."""
     _checked_length(n)
     if s < 1:
         raise ValueError("s must be >= 1; only the all-zero word has s == 0")
     if t < 0:
         raise ValueError("t must be >= 0")
-    (seeds,), root, _, _ = _classes(n, [(s, t)])
-    if not seeds:
-        return None, None
-    lone = "1" + "0" * (n - s - t - 1) if s + t < n else ""
-    return "1" * s + "0" * t + lone, root or None
 
 
 def _sizes(n: int, classes: list[tuple[int, int]]) -> list[int]:
@@ -89,13 +76,16 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     denote the empty set.  Each word reaches `visit` as a str.  Returns the
     number of words visited.
     """
-    seed, root = _class_root(n, s, t)
-    if seed is None:
+    _checked_class(n, s, t)
+    (size,), root, _, _ = _classes(n, [(s, t)])
+    if not size:
         return 0
-    # LEX lists the seed before its flip subtree.  In post-order the subtree
-    # ends on its own root, one flipped position away from the seed, which
-    # comes last.  The root, a flip child of a prefix normal seed, is listed
-    # without re-checking it.
+    # The seed 1^s 0^t 1 0^(n-s-t-1), cut to n, is prefix normal: a factor
+    # that reaches the lone 1 from the leading run spans the t zeros.  LEX
+    # lists it before its flip subtree; post-order ends the subtree on its
+    # root, one flip from the seed, which comes last.  The root, a flip child
+    # of a prefix normal seed, is listed without re-checking it.
+    seed = ("1" * s + "0" * t + "1" + "0" * (n - s - t - 1))[:n]
     tree = _tree(seed[:root[-1] - 1] + "1" + seed[root[-1]:], order) if root else ()
     return _visit_each(chain((seed,), tree) if order is Order.LEX else chain(tree, (seed,)),
                        visit)
@@ -103,7 +93,7 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
 
 def critset_count(n: int, s: int, t: int) -> int:
     """Size of the class with critical prefix 1^s 0^t among length-n words."""
-    _class_root(n, s, t)
+    _checked_class(n, s, t)
     return _sizes(n, [(s, t)])[0]
 
 

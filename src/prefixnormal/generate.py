@@ -245,8 +245,7 @@ def _visit_each(words, visit) -> int:
     return count
 
 
-def generate_pn(seed: str, visit, order: Order = Order.LEX, *,
-                counter: OpCounter | None = None) -> int:
+def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
     """Visit every prefix normal word that agrees with `seed` before its
     rightmost 1 and has at least one 1 from that position on.
 
@@ -255,7 +254,7 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX, *,
     itself.  The visitor receives each word as a str.  Returns the visit
     count.
     """
-    return _visit_each(_tree(_checked_seed(seed), order, counter), visit)
+    return _visit_each(_tree(_checked_seed(seed), order), visit)
 
 
 def iter_pn(seed: str, order: Order = Order.LEX):

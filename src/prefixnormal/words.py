@@ -90,13 +90,6 @@ def critical_prefix(w: str) -> CritPrefix:
     return CritPrefix(s, t)
 
 
-def last_one(w: str) -> int | None:
-    """Position of the rightmost 1 in w, or None for an all-zero word."""
-    check_word(w)
-    i = w.rfind("1")
-    return None if i < 0 else i + 1
-
-
 @lru_cache(maxsize=32)
 def oracle_enumerate(n: int, cap: int = DEFAULT_ORACLE_CAP) -> tuple[str, ...]:
     """All prefix normal words of length n, in lexicographic order.

@@ -1,6 +1,6 @@
-"""Byte-identity gate for the CLI: run a fixed set of about 22,300 argv
-through `cli.main` in this process and write one line per argv: the argv,
-the exit code, the SHA-256 of stdout and stderr as a JSON string.
+"""Byte-identity gate for the CLI: run a fixed set of 22,319 argv through
+`cli.main` in this process and write one line per argv: the argv, the exit
+code, the SHA-256 of stdout and stderr as a JSON string.
 
     PYTHONPATH=src python tests/cli_gate.py > with-kernel.txt
     PYTHONPATH=src python tests/cli_gate.py --no-kernel > python-walk.txt
@@ -72,6 +72,18 @@ def argvs():
             if w.endswith("1"):
                 for cap in range(1, 21):
                     yield ("extend", w, "--detect", "--scan-cap", cap)
+    # `extend --steps` writes the seed and its blocks 256 per write
+    # (cli._BATCH): 255 steps fill one write, 256 and 257 spill into a
+    # second, 513 into a third.  Every prefix normal seed ending in 1 of
+    # length <= 5.
+    from prefixnormal import is_prefix_normal
+
+    for n in range(1, 6):
+        for i in range(2**n):
+            w = format(i, f"0{n}b")
+            if w.endswith("1") and is_prefix_normal(w):
+                for steps in (255, 256, 257, 513):
+                    yield ("extend", w, "--steps", steps)
 
 
 def main(argv):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixnormal import Order, _kernel, cli, critset, extend_min, hamming, iter_all
+from prefixnormal import (Order, _kernel, cli, critset, extend_min, extend_stream, hamming,
+                          iter_all)
 
 from helpers import (
     reference_emit_words,
@@ -296,6 +297,11 @@ def test_check_all_zero_word():
     assert "phi" not in payload
 
 
+def test_check_r_is_the_rightmost_one():
+    assert json.loads(run_in_process("check", "11010000")[1])["r"] == 4
+    assert json.loads(run_in_process("check", "10010")[1])["r"] == 4
+
+
 def test_check_malformed():
     assert run("check", "10a2").returncode == 2
     assert run("check", "").returncode == 2
@@ -330,6 +336,23 @@ def test_extend_many_steps_reads_the_stream():
         if not left:
             break
     assert res.stdout == "".join(want) + "\n"
+
+
+def test_extend_steps_across_the_write_batch():
+    # The seed and the blocks go out cli._BATCH = 256 per write: k = 255 fills
+    # one batch exactly, 256 and 257 leave a partial one, 512 and 513 span
+    # two full ones.
+    for seed in ("1", "101", "1101001"):
+        for k in (255, 256, 257, 512, 513):
+            code, out = run_in_process("extend", seed, "--steps", k)
+            want, left = [], seed.count("1") + k
+            for ch in extend_stream(seed):
+                want.append(ch)
+                left -= ch == "1"
+                if not left:
+                    break
+            assert code == 0 and out == "".join(want) + "\n", (seed, k)
+            assert out.startswith(seed) and out[len(seed):].count("1") == k
 
 
 def test_extend_detect():

@@ -16,7 +16,7 @@ from prefixnormal import (
     oracle_enumerate,
 )
 from prefixnormal import _kernel
-from prefixnormal.critstats import _class_root, _classes
+from prefixnormal.critstats import _classes
 
 from helpers import reference_class_root
 
@@ -55,14 +55,20 @@ def test_invalid_queries():
 
 
 def test_class_seeds_are_prefix_normal():
-    # _class_root builds the seed 1^s 0^t 1 0^(n-s-t-1) without checking it;
-    # the quadratic oracle checks every such seed here instead.
+    # critset builds the seed 1^s 0^t 1 0^(n-s-t-1) without checking it;
+    # the quadratic oracle checks every such seed here instead, and every
+    # class up to n = 12 lists the reference seed first (LEX) and last (GRAY).
     for n in range(3, 41):
         for s in range(1, n - 1):
             for t in range(1, n - s):
                 seed = "1" * s + "0" * t + "1" + "0" * (n - s - t - 1)
-                assert _class_root(n, s, t)[0] == seed
                 assert is_prefix_normal(seed), seed
+    for n in range(0, 13):
+        for s in range(1, n + 2):
+            for t in range(0, n - s + 2):
+                seed = reference_class_root(n, s, t)[0]
+                lex, gray = collect(n, s, t), collect(n, s, t, Order.GRAY)
+                assert lex[:1] == gray[-1:] == ([seed] if seed else []), (n, s, t)
 
 
 def test_closed_form_roots_equal_the_flipped_seeds():
@@ -80,7 +86,6 @@ def test_closed_form_roots_equal_the_flipped_seeds():
                 flat += ones
                 lens.append(len(ones))
                 rooted.append(i)
-            assert _class_root(n, s, t) == (seed, ones), (n, s, t)
         assert _classes(n, pairs) == (sizes, flat, lens, rooted), n
 
 

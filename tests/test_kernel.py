@@ -16,7 +16,7 @@ import pytest
 from prefixnormal import (OpCounter, Order, _kernel, count_pn, critset_count, critset_table,
                           generate, generate_all, generate_pn, iter_all, iter_pn,
                           oracle_enumerate)
-from prefixnormal.critstats import _class_root
+from prefixnormal.critstats import _classes
 from prefixnormal.generate import _count, _count_run, _walk
 from prefixnormal.ops import _run
 
@@ -210,7 +210,7 @@ def test_long_words_count_in_the_kernel(monkeypatch):
 
     monkeypatch.setattr(generate, "_count_run", spy)
     assert _count(*flat([list(range(1, 64))]), 64) == [3]
-    assert _count(*flat([_class_root(64, 48, 3)[1]]), 64) == [4095]
+    assert _count(*_classes(64, [(48, 3)])[1:3], 64) == [4095]
     assert calls == []
 
 

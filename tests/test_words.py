@@ -7,7 +7,6 @@ from prefixnormal import (
     critical_prefix,
     hamming,
     is_prefix_normal,
-    last_one,
     oracle_enumerate,
     prefix_counts,
 )
@@ -67,13 +66,6 @@ def test_critical_prefix_reconstruction(w):
     assert w.startswith("1" * cp.s + "0" * cp.t)
     if cp.length < len(w):
         assert w[cp.length] == "1"
-
-
-def test_last_one():
-    assert last_one("11010000") == 4
-    assert last_one("0000") is None
-    assert last_one("10010") == 4
-    assert last_one("") is None
 
 
 def test_oracle_enumerate_small_lengths():

@@ -4,9 +4,10 @@
 Repeatedly appending the shortest 0-run plus a 1 keeps the word prefix
 normal and as dense as possible.  The limit is an infinite word that turns
 periodic.  The next 0-run depends only on the last len(seed) - 1 symbols,
-so the engine certifies the period as soon as that window repeats; the
-period's length and number of 1s, already determined by the seed's
-minimum-density prefix, are then checked.
+and the period's length and number of 1s are already determined by the
+seed's minimum-density prefix.  So the engine certifies the period as soon
+as that window repeats at the predicted distance; the period's number of
+1s is then checked.
 """
 
 from prefixnormal import (

@@ -9,9 +9,9 @@ candidate with the quadratic test; it is the reference.  The fast path,
 in O(number of 1s in the window).  `extend_stream` flattens the blocks,
 and `ops.min_flip` reads the first.  The window is all the state the
 extension keeps, so `detect_period` certifies the period exactly: it
-appends blocks to the string read so far until its window repeats at the
-end of a 1.  The period's length and number of 1s, fixed in advance by
-the seed's minimum-density prefix, are then checked against the tail.
+appends blocks to the string read so far until the window at the end of a
+1 equals the one iota symbols earlier, where iota is the length of the
+seed's minimum-density prefix, the period length the paper predicts.
 """
 
 from __future__ import annotations
@@ -161,23 +161,23 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     """Certify the ultimate period of the infinite minimal extension of w.
 
     After the seed, the stream's next 0-run depends only on its last
-    len(w) - 1 symbols (see `extend_stream`).  So the first time that window
-    repeats at the end of a 1, the stream is provably periodic from the
-    window's earlier occurrence on, with the distance between the two
-    occurrences as its period; this needs no bound, because there are
-    finitely many windows.  The scan advances one block 0^k 1 at a time, so
-    the window is looked up once per 1.  The decomposition is then
-    canonicalized: the period is read off the block grid anchored at the
-    end of the seed, with the seed's minimum-density prefix length as block
-    length, and whole blocks are peeled backwards as long as they match, so
-    the period is never a suffix of the preperiod.
+    h = len(w) - 1 symbols, the window (see `extend_stream`).  The paper
+    proves that the stream ultimately has period iota, the length of the
+    seed's minimum-density prefix, and that theorem is what ends the scan:
+    it appends one block 0^k 1 at a time and stops at the first block end
+    L >= len(w) + iota whose window equals the one ending at L - iota, so
+    the stream has period iota from L - iota - h + 1 on.  The decomposition
+    is then canonicalized: the period is read off the block grid anchored
+    at the end of the seed, and whole blocks are peeled backwards as long
+    as they match, so the period is never a suffix of the preperiod.
+    `length_ok` checks that the scanned tail has period iota from the grid
+    block on.
 
     `preperiod_bound` is the paper's bound on the preperiod, (C(iota, kappa)
     - 1) * m * iota with m = ceil(len(w) / iota); it is checked, not used to
     size the scan.  Raises ScanCapExceeded, carrying exactly the first
-    `scan_cap` symbols, if that many are read before the window repeats;
-    with no cap, the scan always ends.  A cap that is not an integer >= 1
-    raises ValueError.
+    `scan_cap` symbols, if that many are read before the certificate.
+    A cap that is not an integer >= 1 raises ValueError.
     """
     try:
         cap = inf if scan_cap is None else index(scan_cap)
@@ -192,36 +192,30 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     m = -(-seed_len // iota)
     bound = (comb(iota, kappa) - 1) * m * iota
 
-    # v is what has been read, the window its last seed_len - 1 symbols;
-    # seen maps each window that ends a 1 to the length read when it first did.
+    # v is what has been read, the window its last h symbols.
+    h = seed_len - 1
     v = w
-    seen = {w[1:]: seed_len}
     for block in _blocks(w):
         v += block
         length = len(v)
-        first = seen.setdefault(v[length - seed_len + 1:], length)
-        if first < length <= cap:
+        if (length >= seed_len + iota and length <= cap
+                and v[length - h:] == v[length - iota - h : length - iota]):
             break
         if length >= cap:
             raise ScanCapExceeded(w, cap, v[:cap])
-    # v[i - 1] == v[i - 1 + period] for every i >= periodic_from.
-    period = length - first
-    periodic_from = first - seed_len + 2
 
     # Anchor the period grid at the end of the seed and peel whole blocks
     # backwards to the shortest preperiod consistent with that grid.
-    a = periodic_from
-    while (a - 1) % iota != seed_len % iota:
-        a += 1
-    x = "".join(v[periodic_from - 1 + (i - periodic_from) % period]
-                for i in range(a, a + iota))
+    a = length - iota - h + 1
+    a += (seed_len + 1 - a) % iota
+    x = v[a - 1 : a - 1 + iota]
     q = a
     while q - iota >= 1 and v[q - iota - 1 : q - 1] == x:
         q -= iota
     u = v[: q - 1]
 
     checks = {
-        "length_ok": iota % period == 0,
+        "length_ok": v[a - 1 + iota:] == v[a - 1 : length - iota],
         "weight_ok": x.count("1") == kappa,
         "bound_ok": len(u) <= bound,
         "aligned_pn_ok": (len(u) % iota != 0) or is_prefix_normal(x),

@@ -12,6 +12,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 DEFAULT_ORACLE_CAP = 20
+# The longest word length: the compiled walk holds lengths in C ints.
+_MAX_LENGTH = 2**31 - 1
 
 
 def check_word(w: str) -> str:
@@ -24,11 +26,13 @@ def check_word(w: str) -> str:
 
 
 def _checked_length(n: int, cap: int | None = None, kind: str = "enumeration") -> None:
-    """Raise ValueError if n exceeds `cap` (None for no cap), then if n < 0."""
+    """Raise ValueError if n > `cap` (None for no cap), then unless 0 <= n <= _MAX_LENGTH."""
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the {kind} cap ({cap})")
     if n < 0:
         raise ValueError("word length must be nonnegative")
+    if n > _MAX_LENGTH:
+        raise ValueError(f"n={n} exceeds the longest word length ({_MAX_LENGTH})")
 
 
 def _ones(w: str) -> list[int]:

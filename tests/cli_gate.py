@@ -1,4 +1,4 @@
-"""Byte-identity gate for the CLI: run a fixed set of 22,319 argv through
+"""Byte-identity gate for the CLI: run a fixed set of 36,113 argv through
 `cli.main` in this process and write one line per argv: the argv, the exit
 code, the SHA-256 of stdout and stderr as a JSON string.
 
@@ -84,6 +84,18 @@ def argvs():
             if w.endswith("1") and is_prefix_normal(w):
                 for steps in (255, 256, 257, 513):
                     yield ("extend", w, "--steps", steps)
+    # Every prefix normal seed ending in 1 of length 9..12: 627 seeds.  In
+    # 27 of them the minimal period is shorter than iota, so the window
+    # repeats before the certificate at distance iota; for each of those,
+    # an even cap from 8 to 48 falls between the two.  Every seed here
+    # certifies within 10..48 symbols.
+    for n in range(9, 13):
+        for i in range(2 ** (n - 1)):
+            w = format(2 * i + 1, f"0{n}b")
+            if is_prefix_normal(w):
+                yield ("extend", w, "--detect")
+                for cap in range(8, 49, 2):
+                    yield ("extend", w, "--detect", "--scan-cap", cap)
 
 
 def main(argv):

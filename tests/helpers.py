@@ -320,8 +320,11 @@ def reference_detect_period(w: str, scan_cap: int | None = None) -> ExtensionRep
 def reference_detect_period_by_symbol(w: str, scan_cap: int | None = None) -> ExtensionReport:
     """The window certificate read one symbol at a time: every symbol goes
     into a list, and the last len(w) - 1 of them are joined and looked up at
-    every 1.  The reference for `detect_period`'s block scan, field for
-    field, `scanned_length` and the ScanCapExceeded prefix included."""
+    every 1 in a dict of the windows seen so far, so the scan stops at the
+    first repeat at any distance.  The reference for every field of
+    `detect_period` but `scanned_length`: that scan waits for the repeat at
+    distance iota, up to iota - 1 symbols later.  A ScanCapExceeded carries
+    the first `scan_cap` symbols in both."""
     if scan_cap is not None and scan_cap < 1:
         raise ValueError("scan_cap must be >= 1")
     _check_seed(w)

@@ -444,6 +444,25 @@ def test_oracle_cap():
     assert "PREFIXNORMAL_ORACLE_CAP" in res.stderr
 
 
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("n", [2**31, 10**20])
+def test_lengths_past_c_ints_exit_2(n, kernel, monkeypatch):
+    # The compiled walk holds lengths in C ints.  Past them, gen raised
+    # OverflowError from the kernel's state, and critset, table and hist
+    # set out to build that many strings, cells or classes.  The shared
+    # length check now refuses n, with or without the kernel, before
+    # anything is allocated.
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    for cmd in (("gen", "--count-only"), ("gen",), ("critset", "-s", 1, "-t", 1),
+                ("table",), ("hist",), ("oracle",)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in (*cmd, "-n", n, "--cap", n)])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", f"error: n={n} exceeds the longest word length (2147483647)\n"), cmd
+
+
 def test_gen_deterministic_bytes():
     a = run("gen", "-n", "9", "--order", "gray")
     b = run("gen", "-n", "9", "--order", "gray")

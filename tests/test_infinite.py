@@ -254,36 +254,62 @@ def test_detect_period_equals_block_run_certificate_on_random_seeds(seed):
     _same_report_but_scan(seed)
 
 
-def _outcome(detect, seed, cap=None):
-    """The report of detect(seed, scan_cap=cap), or the (seed, cap, prefix)
-    of the ScanCapExceeded it raises."""
-    try:
-        return detect(seed, scan_cap=cap)
-    except ScanCapExceeded as exc:
-        return exc.seed, exc.scan_cap, exc.scanned_prefix
+def _equals_symbol_scan(seed, caps):
+    """detect_period(seed) against the symbol scan, which stops at the first
+    window that repeats at any distance.  Every field but `scanned_length`
+    is equal; waiting for the repeat at distance iota reads fewer than iota
+    more symbols, and iota minus that number divides iota.  Then, for each
+    cap in caps(scanned_length): the full report when the cap reaches the
+    scanned length, else ScanCapExceeded carrying the first cap symbols."""
+    got = detect_period(seed)
+    want = reference_detect_period_by_symbol(seed)
+    assert got._replace(scanned_length=0) == want._replace(scanned_length=0), seed
+    iota, extra = got.block_len, got.scanned_length - want.scanned_length
+    assert 0 <= extra < iota and iota % (iota - extra) == 0, seed
+    for cap in caps(got.scanned_length):
+        if cap >= got.scanned_length:
+            assert detect_period(seed, scan_cap=cap) == got, (seed, cap)
+            continue
+        with pytest.raises(ScanCapExceeded) as exc:
+            detect_period(seed, scan_cap=cap)
+        assert ((exc.value.seed, exc.value.scan_cap, exc.value.scanned_prefix)
+                == (seed, cap, stream_prefix(seed, cap))), (seed, cap)
 
 
 def test_detect_period_equals_symbol_scan_at_every_cap():
     for seed in seeds_ending_in_one(14):
-        want = reference_detect_period_by_symbol(seed)
-        assert detect_period(seed) == want, seed
-        for cap in range(1, want.scanned_length + 2):
-            assert (_outcome(detect_period, seed, cap)
-                    == _outcome(reference_detect_period_by_symbol, seed, cap)), (seed, cap)
+        _equals_symbol_scan(seed, lambda end: range(1, end + 2))
 
 
 @settings(max_examples=100)
 @given(pn_seeds(13, 128), st.data())
 def test_detect_period_equals_symbol_scan_on_random_seeds(seed, data):
-    want = reference_detect_period_by_symbol(seed)
-    assert detect_period(seed) == want
     # Caps inside the seed, at its end, at the end of the scan and anywhere
     # in between, mostly inside a 0-run.
-    end = want.scanned_length
-    drawn = data.draw(st.lists(st.integers(1, end + 1), max_size=4))
-    for cap in {1, len(seed) - 1, len(seed), len(seed) + 1, end - 1, end, end + 1, *drawn}:
-        assert (_outcome(detect_period, seed, cap)
-                == _outcome(reference_detect_period_by_symbol, seed, cap)), cap
+    def caps(end):
+        drawn = data.draw(st.lists(st.integers(1, end + 1), max_size=4))
+        return {1, len(seed) - 1, len(seed), len(seed) + 1, end - 1, end, end + 1, *drawn}
+
+    _equals_symbol_scan(seed, caps)
+
+
+def test_detect_period_memory_stays_near_the_scanned_length():
+    # The worst-preperiod family at |w| = 200 scans 19,506 symbols.  A dict
+    # of every window that ends a 1 traces 2.93 MB on this seed; the string
+    # read so far and two windows at a time trace about 0.04 MB.
+    import tracemalloc
+
+    n = 200
+    w = "111" + "01" * ((n - 8) // 2) + "00101"
+    want = reference_detect_period_by_symbol(w)
+    tracemalloc.start()
+    try:
+        got = detect_period(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert got._replace(scanned_length=0) == want._replace(scanned_length=0)
 
 
 def test_detect_period_certifies_long_seeds():

@@ -4,9 +4,10 @@ extensions, and a self-check against the brute-force enumeration.
 Words stream to stdout, one per line; diagnostics go to stderr.  Exit codes:
 0 success (or a true answer), 1 a false answer from `check`/`oracle` or
 stdout closed by its reader before the output ended (as in `gen ... | head`;
-no traceback is printed), 2 usage or input error, 3 the scan cap of
-`extend --detect` was hit before a period was certified, 130 interrupted
-(Ctrl-C).
+no traceback is printed), 2 usage or input error, or an input too large for
+the memory the process may use (one `error: out of memory` line), 3 the
+scan cap of `extend --detect` was hit before a period was certified, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .ops import min_flip
 from .words import (
     DEFAULT_ORACLE_CAP,
     _checked_length,
+    _is_pn,
     check_word,
     critical_prefix,
     hamming,
-    is_prefix_normal,
     oracle_enumerate,
 )
 
@@ -138,7 +139,7 @@ def cmd_check(args) -> int:
     w = check_word(args.word)
     if not w:
         raise ValueError("cannot check the empty word")
-    pn = is_prefix_normal(w)
+    pn = _is_pn(w)
     prof = density_profile(w)
     cp = critical_prefix(w)
     report: dict = {"is_prefix_normal": pn, "r": w.rfind("1") + 1 or None}
@@ -278,6 +279,11 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # An n that passes the length check can still need more memory than
+        # the process may take: the compiled count holds 24 bytes per symbol.
+        print("error: out of memory", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         # 128 + SIGINT, as a shell reports a process that Ctrl-C ended.

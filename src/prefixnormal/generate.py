@@ -38,7 +38,7 @@ from enum import Enum
 from itertools import chain, islice
 
 from .ops import _run
-from .words import _checked_length, _ones, check_word, is_prefix_normal
+from .words import _checked_length, _is_pn, _ones, check_word
 
 DEFAULT_GEN_CAP = 40
 
@@ -232,7 +232,7 @@ def _checked_seed(seed: str) -> str:
     check_word(seed)
     if seed.count("1") < 2:
         raise ValueError("the starting word needs at least two 1s")
-    if not is_prefix_normal(seed):
+    if not _is_pn(seed):
         raise ValueError("the starting word is not prefix normal")
     return seed
 

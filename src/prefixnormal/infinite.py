@@ -3,15 +3,17 @@
 Repeatedly appending the shortest run of 0s followed by a 1 (the densest
 extension that stays prefix normal) turns a finite word into an infinite one
 that is ultimately periodic.  `extend_min` finds each 0-run by trying every
-candidate with the quadratic test; it is the reference.  The fast path,
-`_blocks`, steps one block 0^k 1 at a time, with k in closed form from the
-1s of the seed and those among the last len(seed) - 1 symbols, the window,
-in O(number of 1s in the window).  `extend_stream` flattens the blocks,
-and `ops.min_flip` reads the first.  The window is all the state the
-extension keeps, so `detect_period` certifies the period exactly: it
-appends blocks to the string read so far until the window at the end of a
-1 equals the one iota symbols earlier, where iota is the length of the
-seed's minimum-density prefix, the period length the paper predicts.
+candidate with the quadratic test; it is the reference.  Each entry point
+checks its seed once with `words._is_pn`, which is exact and costs O(k**2)
+in the seed's number k of 1s.  The fast path, `_blocks`, steps one
+block 0^k 1 at a time, with k in closed form from the 1s of the seed and
+those among the last len(seed) - 1 symbols, the window, in O(number of 1s
+in the window).  `extend_stream` flattens the blocks, and `ops.min_flip`
+reads the first.  The window is all the state the extension keeps, so
+`detect_period` certifies the period exactly: it appends blocks to the
+string read so far until the window at the end of a 1 equals the one iota
+symbols earlier, where iota is the length of the seed's minimum-density
+prefix, the period length the paper predicts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain, islice
 from math import comb, inf
 from operator import add, index
 
-from .words import _ones, check_word, is_prefix_normal
+from .words import _is_pn, _ones, check_word, is_prefix_normal
 
 
 class DensityProfile(namedtuple("DensityProfile", "density length ones")):
@@ -56,7 +58,7 @@ def _check_seed(w: str) -> str:
     check_word(w)
     if not w.endswith("1"):
         raise ValueError("the seed must end with 1 (trim trailing zeros first)")
-    if not is_prefix_normal(w):
+    if not _is_pn(w):
         raise ValueError("the seed is not prefix normal")
     return w
 
@@ -218,7 +220,7 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
         "length_ok": v[a - 1 + iota:] == v[a - 1 : length - iota],
         "weight_ok": x.count("1") == kappa,
         "bound_ok": len(u) <= bound,
-        "aligned_pn_ok": (len(u) % iota != 0) or is_prefix_normal(x),
+        "aligned_pn_ok": (len(u) % iota != 0) or _is_pn(x),
     }
     return ExtensionReport(
         seed=w,

@@ -1,15 +1,18 @@
 """Core operations on binary words, represented as '0'/'1' strings.
 
 Positions are 1-based throughout (w_1 is the first symbol), matching the
-usual conventions for words.  The prefix-normality test in this module is
-a deliberately naive double loop over all factors: it is the ground truth
-that every faster routine in the package is checked against.
+usual conventions for words.  The public prefix-normality test,
+`is_prefix_normal`, is a deliberately naive double loop over all factors:
+it is the ground truth that every faster routine in the package is checked
+against.  The package's own paths use `_is_pn`, an exact test over the
+positions of the 1s alone.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import sub
 
 DEFAULT_ORACLE_CAP = 20
 # The longest word length: the compiled walk holds lengths in C ints.
@@ -66,6 +69,32 @@ def is_prefix_normal(w: str) -> bool:
                 ones += 1
                 if ones > p[j - start + 1]:
                     return False
+    return True
+
+
+def _is_pn(w: str) -> bool:
+    """Whether w is prefix normal, from the positions of its 1s alone.
+
+    Let a_1 < ... < a_k be the positions of the 1s of w (unchecked).  A
+    factor with j >= 1 1s is at least as long as the stretch from its first
+    1 to its last, and a prefix never holds fewer 1s than a shorter one, so
+    only the factors from a 1 to a 1 can break prefix normality.  The one
+    from a_i to a_{i+j-1} holds j 1s in a_{i+j-1} - a_i + 1 symbols, so w
+    is prefix normal iff a_j <= a_{i+j-1} - a_i + 1 whenever i + j - 1 <= k.
+    With i = 1 that forces a_1 = 1; in 0-based positions d = a - 1 it says
+    the sequence is superadditive, d_{p+q} >= d_p + d_q.  This is the
+    pair-sum closed form of `ops._run` read at every 1 at once.  One
+    C-level min over i per j, stopping at the first j that fails, costs
+    O(k**2) in the number of 1s, not in the length.  It is a (max, +)
+    self-convolution, the binary jumbled indexing problem (Chan and
+    Lewenstein, STOC 2015, solve it in subquadratic time).
+    """
+    a = _ones(w)
+    if a and a[0] != 1:
+        return False
+    for p in range(1, len(a)):
+        if min(map(sub, a[p:], a)) < a[p] - 1:
+            return False
     return True
 
 

@@ -1,4 +1,4 @@
-"""Byte-identity gate for the CLI: run a fixed set of 36,113 argv through
+"""Byte-identity gate for the CLI: run a fixed set of 51,473 argv through
 `cli.main` in this process and write one line per argv: the argv, the exit
 code, the SHA-256 of stdout and stderr as a JSON string.
 
@@ -96,6 +96,13 @@ def argvs():
                 yield ("extend", w, "--detect")
                 for cap in range(8, 49, 2):
                     yield ("extend", w, "--detect", "--scan-cap", cap)
+    # Every binary word of length 9..12, prefix normal or not: `check` and
+    # `extend` test membership on each.  15,360 argv.
+    for n in range(9, 13):
+        for i in range(2**n):
+            w = format(i, f"0{n}b")
+            yield ("check", w)
+            yield ("extend", w)
 
 
 def main(argv):

@@ -10,6 +10,7 @@ import io
 import json
 from collections import deque
 from math import comb
+from operator import add
 
 from prefixnormal import (
     DEFAULT_ORACLE_CAP,
@@ -91,6 +92,41 @@ def window_formulation_is_pn(w: str) -> bool:
         if best > prefix[k]:
             return False
     return True
+
+
+def dfs_listing(n: int) -> list[str]:
+    """Every prefix normal word of length n in lexicographic order, built
+    symbol by symbol with no bubble/flip tree and no quadratic test.
+
+    Prefix normal words are closed under taking prefixes, so a depth-first
+    search that tries 0 before 1 and keeps only prefix normal prefixes
+    lists them in order.  Appending a 0 keeps a word prefix normal.  With
+    the 1s at the 0-based positions d_0 < ... < d_{k-1}, a 1 appended at j
+    keeps it prefix normal iff the positions stay superadditive
+    (`words._is_pn`): j = 0 when k = 0, else j >= d_p + d_{k-p} for every
+    0 < p < k, an O(k) test.
+    """
+    out: list[str] = []
+    word: list[str] = []
+    d: list[int] = []
+
+    def rec(j: int) -> None:
+        if j == n:
+            out.append("".join(word))
+            return
+        word.append("0")
+        rec(j + 1)
+        word.pop()
+        inner = d[1:]
+        if j >= max(map(add, inner, reversed(inner)), default=0) if d else j == 0:
+            word.append("1")
+            d.append(j)
+            rec(j + 1)
+            d.pop()
+            word.pop()
+
+    rec(0)
+    return out
 
 
 def oracle_min_flip(w: str) -> int:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import resource
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -461,6 +463,23 @@ def test_lengths_past_c_ints_exit_2(n, kernel, monkeypatch):
             code = cli.main([str(a) for a in (*cmd, "-n", n, "--cap", n)])
         assert (code, out.getvalue(), err.getvalue()) == (
             2, "", f"error: n={n} exceeds the longest word length (2147483647)\n"), cmd
+
+
+def test_out_of_memory_exits_2():
+    # A length under the C-int limit can still need more memory than the
+    # process may take: the compiled count holds 24 bytes per symbol, about
+    # 7 GB here.  The child runs under a 1 GiB address-space limit, so the
+    # allocation fails at once; it printed a MemoryError traceback and
+    # exited 1.  Without a compiler the Python count would run instead.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = subprocess.run(CMD + ["gen", "--count-only", "-n", "300000000", "--cap", "2147483647"],
+                         capture_output=True, text=True, preexec_fn=limit, timeout=120)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_gen_deterministic_bytes():

@@ -133,7 +133,7 @@ def test_subtree_locality():
 
 def test_critset_does_not_recheck_its_root(monkeypatch):
     # The class root is prefix normal by construction, so listing a class
-    # runs no quadratic test on it.
+    # runs no membership test on it.
     n = 14
     queries = [(s, t, order) for s in range(1, n + 1) for t in range(n - s + 1)
                for order in Order]
@@ -142,7 +142,7 @@ def test_critset_does_not_recheck_its_root(monkeypatch):
     def refuse(w):
         raise AssertionError("the class root was checked again")
 
-    monkeypatch.setattr(generate, "is_prefix_normal", refuse)
+    monkeypatch.setattr(generate, "_is_pn", refuse)
     assert [collect(n, *q) for q in queries] == want
 
 

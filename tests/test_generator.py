@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from prefixnormal import (
 )
 from prefixnormal.generate import _count, _count_run, _walk
 
-from helpers import flat, pn_def_set, reference_inorder, reference_postorder
+from helpers import dfs_listing, flat, pn_def_set, reference_inorder, reference_postorder
 
 GRAY_SUBTREE_8 = [
     "11000001", "11000011", "11000010", "11000101", "11000110", "11000100",
@@ -128,6 +130,19 @@ def test_full_enumeration_against_bruteforce():
         assert sorted(gray) == expected
         assert len(set(gray)) == len(gray)
         assert all(a < b for a, b in zip(lex, lex[1:]))
+
+
+def test_listings_equal_the_symbol_by_symbol_search():
+    # An independent reference past the brute-force oracle's reach.
+    for n in range(15):
+        lex = dfs_listing(n)
+        assert list(iter_all(n)) == lex, n
+        assert sorted(iter_all(n, Order.GRAY)) == lex, n
+    ref = dfs_listing(20)
+    assert len(ref) == count_pn(20) == 87_024
+    digests = [hashlib.sha256("\n".join(words).encode()).hexdigest()
+               for words in (ref, iter_all(20))]
+    assert digests[0] == digests[1]
 
 
 def test_gray_distances_and_cycle():

@@ -220,7 +220,7 @@ def test_detect_period_cap():
 
 
 def test_detect_period_checks_the_seed_once(monkeypatch):
-    # The seed's quadratic check runs once; the only other call is the
+    # The seed's membership check runs once; the only other call is the
     # aligned_pn_ok check of a period block that starts on the grid.
     import prefixnormal.infinite as infinite
 
@@ -230,7 +230,7 @@ def test_detect_period_checks_the_seed_once(monkeypatch):
         calls.append(w)
         return is_prefix_normal(w)
 
-    monkeypatch.setattr(infinite, "is_prefix_normal", counted)
+    monkeypatch.setattr(infinite, "_is_pn", counted)
     for seed in ("1", "101", "1101001", "110100101001", "1010010001"):
         calls.clear()
         rep = detect_period(seed)

@@ -1,17 +1,31 @@
+from itertools import islice
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixnormal import (
     CritPrefix,
+    cli,
     critical_prefix,
+    detect_period,
+    extend_stream,
+    generate,
+    generate_pn,
     hamming,
+    infinite,
     is_prefix_normal,
+    iter_pn,
+    min_flip,
+    ops,
     oracle_enumerate,
     prefix_counts,
+    stream_prefix,
+    words as words_module,
 )
+from prefixnormal.words import _is_pn
 
-from helpers import window_formulation_is_pn
+from helpers import run_in_process, seeds_ending_in_one, window_formulation_is_pn
 
 words = st.text(alphabet="01", max_size=24)
 
@@ -46,6 +60,75 @@ def test_two_formulations_agree_up_to_14():
         for k in range(1 << n):
             w = format(k, f"0{n}b") if n else ""
             assert is_prefix_normal(w) == window_formulation_is_pn(w), w
+
+
+def test_closed_form_equals_the_naive_test_up_to_16():
+    for n in range(17):
+        for k in range(1 << n):
+            w = format(k, f"0{n}b") if n else ""
+            assert _is_pn(w) == is_prefix_normal(w), w
+
+
+@st.composite
+def long_words(draw):
+    # A prefix of a seed's densest extension, which is prefix normal, or
+    # that word with one symbol flipped, which often is not.
+    seed = draw(st.sampled_from(seeds_ending_in_one(10)))
+    w = stream_prefix(seed, draw(st.integers(1, 2000)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(w) - 1))
+        w = w[:i] + "10"[int(w[i])] + w[i + 1 :]
+    return w
+
+
+@settings(max_examples=40)
+@given(long_words())
+def test_closed_form_equals_the_naive_test_on_long_words(w):
+    assert _is_pn(w) == is_prefix_normal(w), w
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _membership_paths():
+    # Every production path that tests a caller's word: the seeds of
+    # detect_period (and its aligned_pn_ok check), extend_stream,
+    # stream_prefix and `extend`, those of generate_pn and iter_pn,
+    # min_flip's validation and `check`.  The last three seeds are not
+    # prefix normal.
+    got = []
+    for w in ("1", "101", "1101001", "110100101001", "1010010001", "1011", "1101101", "01"):
+        got += [
+            _outcome(detect_period, w),
+            _outcome(lambda: "".join(islice(extend_stream(w), 60))),
+            _outcome(stream_prefix, w, 60),
+            _outcome(lambda: list(iter_pn(w + "000"))),
+            _outcome(lambda: generate_pn(w + "000", lambda word: None)),
+            _outcome(min_flip, w + "00"),
+            run_in_process("check", w),
+            run_in_process("check", w + "00"),
+            run_in_process("extend", w),
+            run_in_process("extend", w, "--steps", 5),
+            run_in_process("extend", w, "--detect"),
+        ]
+    return got
+
+
+def test_production_paths_never_run_the_naive_test(monkeypatch):
+    # The naive test stays the ground truth; every path that checks a
+    # word uses the closed form, with the same outcome.
+    want = _membership_paths()
+
+    def refuse(w):
+        raise AssertionError(f"the naive test ran on {w!r}")
+
+    for module in (words_module, infinite, generate, ops, cli):
+        monkeypatch.setattr(module, "is_prefix_normal", refuse, raising=False)
+    assert _membership_paths() == want
 
 
 def test_critical_prefix_fixtures():

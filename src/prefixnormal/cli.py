@@ -84,27 +84,36 @@ def _write(walk, head, sep, left, right, end) -> None:
     """Write the words that `walk(visit)` visits, _BATCH per write: `head`
     first (alone if the walk visits none), `sep` between words, `left` and
     `right` around each, the last partial batch when the walk returns, then
-    `end`."""
+    `end`.
+
+    The visitor is the `send` of a generator that stores each word in the
+    next slot of the batch and writes every full one, so a word costs one
+    frame resume and one list store.  Only the normal return writes the
+    partial batch, the first count % _BATCH slots: an exception out of the
+    walk (a closed pipe, Ctrl-C, no memory) leaves it unwritten, and closing
+    the generator then writes nothing.
+    """
     write = sys.stdout.write
     join = (right + sep + left).join
-    batch, buf = _BATCH, []
-    lead = head
+    batch = _BATCH
+    buf = [""] * batch
 
-    def flush() -> None:
-        nonlocal lead
-        write(lead + left + join(buf) + right)
-        lead = sep
-        buf.clear()
+    def batches():
+        lead = head
+        while True:
+            for i in range(batch):
+                buf[i] = yield
+            write(lead + left + join(buf) + right)
+            lead = sep
 
-    def visit(word: str) -> None:
-        buf.append(word)
-        if len(buf) == batch:
-            flush()
-
-    if not walk(visit):
+    sink = batches()
+    next(sink)
+    count = walk(sink.send)
+    rest = count % batch
+    if not count:
         write(head)
-    elif buf:
-        flush()
+    elif rest:
+        write((head if count < batch else sep) + left + join(buf[:rest]) + right)
     write(end)
 
 
@@ -157,8 +166,8 @@ def cmd_check(args) -> int:
 
 def cmd_extend(args) -> int:
     steps = 1 if args.steps is None else args.steps
-    if steps < 0:
-        raise ValueError("--steps must be >= 0")
+    if not 0 <= steps <= sys.maxsize:
+        raise ValueError(f"--steps must be between 0 and {sys.maxsize}")
     if args.detect and args.steps is not None:
         raise ValueError("--steps applies only without --detect")
     if args.scan_cap is not None and not args.detect:
@@ -169,8 +178,8 @@ def cmd_extend(args) -> int:
         print(report.to_json())
         return 0
     # The checked seed, which ends with a 1, then one block 0^k 1 per step.
-    w = _check_seed(w)
-    _write(lambda visit: _visit_each(chain((w,), islice(_blocks(w), steps)), visit),
+    ones = _check_seed(w)
+    _write(lambda visit: _visit_each(chain((w,), islice(_blocks(ones), steps)), visit),
            "", "", "", "", "\n")
     return 0
 

@@ -29,13 +29,16 @@ compiler; the listing walk is also the one an OpCounter is charged on.
 
 From the kernel's chunks to the caller every step is C-level: the chunks
 are split and chained (`itertools.chain`) and the head words are chained
-in front, so no Python generator resumes per listed word.
+in front, and `_visit_each` calls the visitor from C, so no Python frame
+runs per listed word up to the visitor.  The visitor itself is the
+caller's: the CLI's resumes its batching generator once per word.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from .ops import _run
 from .words import _checked_length, _is_pn, _ones, check_word
@@ -238,11 +241,14 @@ def _checked_seed(seed: str) -> str:
 
 
 def _visit_each(words, visit) -> int:
-    count = 0
-    for word in words:
-        visit(word)
-        count += 1
-    return count
+    """Call `visit` on each word in turn and return how many there were.
+
+    The loop runs in C: zip takes a word (calling `visit`) before it takes
+    a number from `seen`, so `next(seen)` is the number of visits.
+    """
+    seen = count()
+    deque(zip(map(visit, words), seen), 0)
+    return next(seen)
 
 
 def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:

@@ -4,16 +4,17 @@ Repeatedly appending the shortest run of 0s followed by a 1 (the densest
 extension that stays prefix normal) turns a finite word into an infinite one
 that is ultimately periodic.  `extend_min` finds each 0-run by trying every
 candidate with the quadratic test; it is the reference.  Each entry point
-checks its seed once with `words._is_pn`, which is exact and costs O(k**2)
-in the seed's number k of 1s.  The fast path, `_blocks`, steps one
-block 0^k 1 at a time, with k in closed form from the 1s of the seed and
-those among the last len(seed) - 1 symbols, the window, in O(number of 1s
-in the window).  `extend_stream` flattens the blocks, and `ops.min_flip`
-reads the first.  The window is all the state the extension keeps, so
-`detect_period` certifies the period exactly: it appends blocks to the
-string read so far until the window at the end of a 1 equals the one iota
-symbols earlier, where iota is the length of the seed's minimum-density
-prefix, the period length the paper predicts.
+checks its seed once with `words._pn_ones`, which is exact and costs
+O(k**2) in the seed's number k of 1s, and keeps the positions of those 1s.
+The fast path, `_blocks`, takes them and steps one block 0^k 1 at a time,
+with k in closed form from the 1s of the seed and those among the last
+len(seed) - 1 symbols, the window, in O(number of 1s in the window).
+`extend_stream` flattens the blocks, and `ops.min_flip` reads the first.
+The window is all the state the extension keeps, so `detect_period`
+certifies the period exactly: it appends blocks to the string read so far
+until the window at the end of a 1 equals the one iota symbols earlier,
+where iota is the length of the seed's minimum-density prefix, the period
+length the paper predicts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import chain, islice
 from math import comb, inf
 from operator import add, index
 
-from .words import _is_pn, _ones, check_word, is_prefix_normal
+from .words import _ones, _pn_ones, check_word, is_prefix_normal
 
 
 class DensityProfile(namedtuple("DensityProfile", "density length ones")):
@@ -54,13 +55,15 @@ def density_profile(w: str) -> DensityProfile:
     return DensityProfile(Fraction(best_num, best_den), best_den, best_num)
 
 
-def _check_seed(w: str) -> str:
+def _check_seed(w: str) -> list[int]:
+    """The positions of the 1s of the seed w, once w is checked."""
     check_word(w)
     if not w.endswith("1"):
         raise ValueError("the seed must end with 1 (trim trailing zeros first)")
-    if not _is_pn(w):
+    ones = _ones(w)
+    if not _pn_ones(ones):
         raise ValueError("the seed is not prefix normal")
-    return w
+    return ones
 
 
 def extend_min(w: str) -> str:
@@ -93,14 +96,14 @@ def extend_stream(w: str):
     seed is checked when this is called; the symbols are the seed's, then
     those of each block 0^k 1 in turn, with no Python frame per symbol.
     """
-    return chain(_check_seed(w), chain.from_iterable(_blocks(w)))
+    return chain(w, chain.from_iterable(_blocks(_check_seed(w))))
 
 
-def _blocks(w: str):
-    """The blocks "0" * k + "1" that extend a checked seed w, one per step
-    (see `extend_stream`)."""
-    size = len(w)
-    ones = _ones(w)
+def _blocks(ones: list[int]):
+    """The blocks "0" * k + "1" that extend a checked seed, one per step
+    (see `extend_stream`), from the positions of its 1s; the last is its
+    length."""
+    size = ones[-1]
     nxt = ones[1:]  # nxt[i] = P_{i+2}, paired with the (i+1)-th most recent 1
     end = size
     recent = deque(ones[1:])  # positions of the 1s in the window
@@ -187,7 +190,7 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
         cap = 0  # not an integer: refused below
     if cap < 1:
         raise ValueError("scan_cap must be an integer >= 1")
-    _check_seed(w)
+    ones = _check_seed(w)
     prof = density_profile(w)
     iota, kappa = prof.length, prof.ones
     seed_len = len(w)
@@ -197,7 +200,7 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     # v is what has been read, the window its last h symbols.
     h = seed_len - 1
     v = w
-    for block in _blocks(w):
+    for block in _blocks(ones):
         v += block
         length = len(v)
         if (length >= seed_len + iota and length <= cap
@@ -220,7 +223,7 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
         "length_ok": v[a - 1 + iota:] == v[a - 1 : length - iota],
         "weight_ok": x.count("1") == kappa,
         "bound_ok": len(u) <= bound,
-        "aligned_pn_ok": (len(u) % iota != 0) or _is_pn(x),
+        "aligned_pn_ok": (len(u) % iota != 0) or _pn_ones(_ones(x)),
     }
     return ExtensionReport(
         seed=w,

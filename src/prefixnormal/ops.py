@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import add
 
 from .infinite import _blocks
-from .words import _is_pn, check_word
+from .words import _ones, _pn_ones, check_word
 
 
 def flip(w: str, j: int) -> str:
@@ -74,13 +74,13 @@ def min_flip(w: str, *, validate: bool = True) -> int:
 
     Returns len(w)+1 when no position works (including words ending in 1).
     The input must be prefix normal and contain at least one 1; pass
-    validate=False to skip that check (`words._is_pn`, O(k**2) in the
+    validate=False to skip that check (`words._pn_ones`, O(k**2) in the
     number k of 1s) when the caller guarantees it.
     """
     check_word(w)
-    if "1" not in w:
+    ones = _ones(w)
+    if not ones:
         raise ValueError("an all-zero word has no flip position")
-    if validate and not _is_pn(w):
+    if validate and not _pn_ones(ones):
         raise ValueError("word is not prefix normal")
-    r = w.rfind("1") + 1
-    return min(len(w) + 1, r + len(next(_blocks(w[:r]))))
+    return min(len(w) + 1, ones[-1] + len(next(_blocks(ones))))

@@ -73,7 +73,13 @@ def is_prefix_normal(w: str) -> bool:
 
 
 def _is_pn(w: str) -> bool:
-    """Whether w is prefix normal, from the positions of its 1s alone.
+    """Whether w is prefix normal, from the positions of its 1s alone
+    (`_pn_ones`)."""
+    return _pn_ones(_ones(w))
+
+
+def _pn_ones(a: list[int]) -> bool:
+    """Whether the word whose 1s sit at the positions a is prefix normal.
 
     Let a_1 < ... < a_k be the positions of the 1s of w (unchecked).  A
     factor with j >= 1 1s is at least as long as the stretch from its first
@@ -89,7 +95,6 @@ def _is_pn(w: str) -> bool:
     self-convolution, the binary jumbled indexing problem (Chan and
     Lewenstein, STOC 2015, solve it in subquadratic time).
     """
-    a = _ones(w)
     if a and a[0] != 1:
         return False
     for p in range(1, len(a)):

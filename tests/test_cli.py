@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from prefixnormal import (Order, _kernel, cli, critset, extend_min, extend_stream, hamming,
                           iter_all)
+from prefixnormal.generate import _visit_each
 
 from helpers import (
     reference_emit_words,
@@ -171,6 +174,58 @@ def test_gen_reader_closing_the_pipe_early():
     assert proc.wait(timeout=60) == 1
     assert first == b"0" * 20 + b"\n"
     assert stderr == b""
+
+
+def test_gen_piped_into_head_keeps_stderr_empty():
+    # `gen -n 20 | head -1`, with a Python `head -1` so that no coreutils
+    # need be on PATH: it prints the first line and exits.
+    gen = subprocess.Popen(CMD + ["gen", "-n", "20"], stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE)
+    head = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.stdout.write(sys.stdin.readline())"],
+        stdin=gen.stdout, stdout=subprocess.PIPE)
+    gen.stdout.close()
+    out = head.communicate(timeout=60)[0]
+    stderr = gen.stderr.read()
+    gen.stderr.close()
+    assert gen.wait(timeout=60) == 1
+    assert (out, stderr) == (b"0" * 20 + b"\n", b"")
+
+
+class _Stop(Exception):
+    pass
+
+
+def _full_batches(words, fmt, total):
+    """What the CLI has written in `fmt` once it has taken `words`: only
+    the whole batches, nothing of the partial one."""
+    k = len(words) - len(words) % cli._BATCH
+    if not k:
+        return ""
+    if fmt == "json":
+        return f'{{"count": {total}, "words": [' + ", ".join(f'"{w}"' for w in words[:k])
+    return reference_emit_words(words[:k], fmt)
+
+
+@pytest.mark.parametrize("j", [0, 1, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
+def test_a_walk_that_raises_leaves_only_the_full_batches(j):
+    # The partial batch is written on the normal return only: neither the
+    # error nor the collection of the writer afterwards writes more.
+    words = list(iter_all(12))
+    for fmt in ("plain", "csv", "json"):
+        def walk(visit):
+            def source():
+                yield from words[:j]
+                raise _Stop
+            return _visit_each(source(), visit)
+
+        out = io.StringIO()
+        args = argparse.Namespace(count_only=False, format=fmt)
+        with contextlib.redirect_stdout(out):
+            with pytest.raises(_Stop):
+                cli._emit_words(args, walk, lambda: len(words))
+            gc.collect()
+        assert out.getvalue() == _full_batches(words[:j], fmt, len(words)), (j, fmt)
 
 
 def test_critset_counts():
@@ -374,6 +429,17 @@ def test_extend_negative_steps():
     res = run("extend", "101", "--steps", "-3")
     assert res.returncode == 2
     assert "--steps" in res.stderr and res.stdout == ""
+
+
+def test_extend_steps_past_the_largest_index():
+    # islice takes at most sys.maxsize; past that the CLI names --steps and
+    # its range in one line.
+    for steps in (sys.maxsize + 1, 10**30):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["extend", "101", "--steps", str(steps)])
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", f"error: --steps must be between 0 and {sys.maxsize}\n")
 
 
 def test_extend_bad_seed():

@@ -9,6 +9,7 @@ from prefixnormal import (
     Order,
     _kernel,
     bubble,
+    cli,
     count_pn,
     critical_prefix,
     critset,
@@ -21,7 +22,7 @@ from prefixnormal import (
     min_flip,
     oracle_enumerate,
 )
-from prefixnormal.generate import _count, _count_run, _walk
+from prefixnormal.generate import _count, _count_run, _visit_each, _walk
 
 from helpers import dfs_listing, flat, pn_def_set, reference_inorder, reference_postorder
 
@@ -217,6 +218,33 @@ def test_visitors_receive_str_words():
                 w for w in oracle_enumerate(10)
                 if (cp := critical_prefix(w)).s == s and cp.t == t
             ], (s, t, order)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("j", [0, 1, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
+def test_visit_each_reraises_a_visitor_error(j):
+    # A visitor that takes j words and raises on the next ends the visits
+    # there: the error comes out unchanged, and no further word is taken.
+    words = list(iter_all(12))
+    taken, seen = [], []
+
+    def source():
+        for w in words:
+            taken.append(w)
+            yield w
+
+    def visit(w):
+        if len(seen) == j:
+            raise _Stop
+        seen.append(w)
+
+    with pytest.raises(_Stop):
+        _visit_each(source(), visit)
+    assert seen == words[:j]
+    assert taken == words[: j + 1]
 
 
 def test_count_pn():

@@ -24,6 +24,7 @@ from helpers import (
     reference_detect_period,
     reference_detect_period_by_symbol,
     reference_extend_stream,
+    run_in_process,
     seeds_ending_in_one,
     verify_densest,
 )
@@ -225,13 +226,47 @@ def test_detect_period_checks_the_seed_once(monkeypatch):
     import prefixnormal.infinite as infinite
 
     calls = []
+    check = infinite._pn_ones
+
+    def counted(a):
+        calls.append(a)
+        return check(a)
+
+    monkeypatch.setattr(infinite, "_pn_ones", counted)
+    for seed in ("1", "101", "1101001", "110100101001", "1010010001"):
+        calls.clear()
+        rep = detect_period(seed)
+        assert len(calls) == 1 + (len(rep.preperiod) % rep.block_len == 0), seed
+
+
+def test_each_entry_point_finds_the_seed_ones_once(monkeypatch):
+    # The checked seed's 1 positions are built once and handed to the
+    # extension; detect_period builds a period block's only for the
+    # aligned_pn_ok check.
+    import prefixnormal.infinite as infinite
+    import prefixnormal.ops as ops
+    import prefixnormal.words as words_module
+
+    calls = []
+    ones = words_module._ones
 
     def counted(w):
         calls.append(w)
-        return is_prefix_normal(w)
+        return ones(w)
 
-    monkeypatch.setattr(infinite, "_is_pn", counted)
+    for module in (words_module, infinite, ops):
+        monkeypatch.setattr(module, "_ones", counted, raising=False)
     for seed in ("1", "101", "1101001", "110100101001", "1010010001"):
+        entry_points = {
+            "extend_stream": lambda: list(islice(extend_stream(seed), 50)),
+            "stream_prefix": lambda: stream_prefix(seed, 50),
+            "extend": lambda: run_in_process("extend", seed, "--steps", 5),
+            "min_flip": lambda: ops.min_flip(seed + "000"),
+        }
+        for name, call in entry_points.items():
+            calls.clear()
+            call()
+            assert len(calls) == 1, (name, seed, calls)
         calls.clear()
         rep = detect_period(seed)
         assert len(calls) == 1 + (len(rep.preperiod) % rep.block_len == 0), seed

@@ -24,8 +24,9 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # other signals only between calls.
 _BUDGET = 1 << 20
 # Bytes of lines per native call of the lister.  A listing holds the
-# buffer, the chunk decoded from it and that chunk's words as separate
-# strs (about 3.5 times the chunk at n = 18), so this bounds its memory.
+# buffer, the chunk decoded from it and, while the visitor takes them, the
+# list of that chunk's words (about 3.5 times the chunk at n = 18), so
+# this bounds its memory.
 _CHUNK = 1 << 13
 
 Kernel = namedtuple("Kernel", "count lines")

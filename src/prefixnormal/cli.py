@@ -18,13 +18,15 @@ import sys
 from itertools import chain, islice
 
 from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
-from .generate import DEFAULT_GEN_CAP, Order, _visit_each, count_pn, generate_all, iter_all
+from .generate import (DEFAULT_GEN_CAP, Order, _chunks, _visit_each, count_pn, generate_all,
+                       iter_all)
 from .infinite import ScanCapExceeded, _blocks, _check_seed, density_profile, detect_period
-from .ops import min_flip
+from .ops import _min_flip
 from .words import (
     DEFAULT_ORACLE_CAP,
     _checked_length,
-    _is_pn,
+    _ones,
+    _pn_ones,
     check_word,
     critical_prefix,
     hamming,
@@ -148,12 +150,13 @@ def cmd_check(args) -> int:
     w = check_word(args.word)
     if not w:
         raise ValueError("cannot check the empty word")
-    pn = _is_pn(w)
+    ones = _ones(w)
+    pn = _pn_ones(ones)
     prof = density_profile(w)
     cp = critical_prefix(w)
-    report: dict = {"is_prefix_normal": pn, "r": w.rfind("1") + 1 or None}
-    if pn and "1" in w:
-        report["phi"] = min_flip(w, validate=False)
+    report: dict = {"is_prefix_normal": pn, "r": ones[-1] if ones else None}
+    if pn and ones:
+        report["phi"] = _min_flip(ones, len(w))
     report["critical_prefix"] = {"s": cp.s, "t": cp.t}
     report["delta"] = f"{prof.density.numerator}/{prof.density.denominator}"
     report["iota"] = prof.length
@@ -177,10 +180,11 @@ def cmd_extend(args) -> int:
         report = detect_period(w, scan_cap=args.scan_cap)
         print(report.to_json())
         return 0
-    # The checked seed, which ends with a 1, then one block 0^k 1 per step.
+    # The checked seed, which ends with a 1, then one block 0^k 1 per step,
+    # _BATCH blocks to a chunk.
     ones = _check_seed(w)
-    _write(lambda visit: _visit_each(chain((w,), islice(_blocks(ones), steps)), visit),
-           "", "", "", "", "\n")
+    blocks = _chunks(islice(_blocks(ones), steps), _BATCH)
+    _write(lambda visit: _visit_each(chain(((w,),), blocks), visit), "", "", "", "", "\n")
     return 0
 
 

@@ -84,9 +84,10 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     # that reaches the lone 1 from the leading run spans the t zeros.  LEX
     # lists it before its flip subtree; post-order ends the subtree on its
     # root, one flip from the seed, which comes last.  The root, a flip child
-    # of a prefix normal seed, is listed without re-checking it.
-    seed = ("1" * s + "0" * t + "1" + "0" * (n - s - t - 1))[:n]
-    tree = _tree(seed[:root[-1] - 1] + "1" + seed[root[-1]:], order) if root else ()
+    # of a prefix normal seed, is listed from its positions without
+    # re-checking it.  The seed is a chunk of its own.
+    seed = (("1" * s + "0" * t + "1" + "0" * (n - s - t - 1))[:n],)
+    tree = _tree(root, n, order) if root else ()
     return _visit_each(chain((seed,), tree) if order is Order.LEX else chain(tree, (seed,)),
                        visit)
 

@@ -21,29 +21,34 @@ Counts build no words: a smaller walk over the positions of the 1s alone,
 on a stack of its own, adds a whole run of n - r + 1 words in one step
 and descends only into the flip children.  One C walk (`_kernel`),
 compiled on first use when a C compiler is present, does both jobs: in
-one mode it writes the words of every listing as lines, which `_tree`
-splits into words for the iterators, the visitors and the CLI; in the
-other it counts a batch of subtrees in one call (`_count`), exactly at
-every n.  The Python walks are the reference and the path without a
-compiler; the listing walk is also the one an OpCounter is charged on.
+one mode it writes the words of every listing as lines, a chunk of text
+per native call; in the other it counts a batch of subtrees in one call
+(`_count`), exactly at every n.  The Python walks are the reference and
+the path without a compiler; the listing walk is also the one an
+OpCounter is charged on.
 
-From the kernel's chunks to the caller every step is C-level: the chunks
-are split and chained (`itertools.chain`) and the head words are chained
-in front, and `_visit_each` calls the visitor from C, so no Python frame
-runs per listed word up to the visitor.  The visitor itself is the
-caller's: the CLI's resumes its batching generator once per word.
+A listing travels as chunks, sequences of words (`_tree`): the split
+lines of one native call, the two head words together, or lists of
+_WALK_CHUNK words from the Python walk, one word each when a counter is
+charged so that it moves word by word.  `_visit_each` visits a chunk in
+one loop and counts it once, and the iterators chain the chunks
+(`itertools.chain.from_iterable`), so no word takes a zip, count or chain
+step of its own or resumes a Python frame before the visitor.  The
+visitor is the caller's: the CLI's resumes its batching generator once
+per word.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
-from itertools import chain, count, islice
+from itertools import chain, islice
 
 from .ops import _run
-from .words import _checked_length, _is_pn, _ones, check_word
+from .words import _checked_length, _ones, _pn_ones, check_word
 
 DEFAULT_GEN_CAP = 40
+# Words per chunk of the uncharged Python walk.
+_WALK_CHUNK = 256
 
 
 class Order(Enum):
@@ -63,28 +68,31 @@ class OpCounter:
         self.count += k
 
 
-def _walk(seed: str, order: Order, counter: OpCounter | None = None):
-    """Yield each word of the tree rooted at `seed` as a str, a bubble run
-    at a time.
+def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
+    """Yield each word of the tree rooted at the node of length n whose 1s
+    sit at the 1-based positions `a`, as a str, a bubble run at a time.
 
-    The caller guarantees that `seed` is prefix normal with at least two 1s.
-    A run's nodes are base[:q-1] + "1" + base[q:] for r <= q <= n, where
-    `base` is its first node with the rightmost 1 (at r) cleared; only
-    r <= q < end have a flip child (ops._run).  The nodes past that are
-    yielded first, leaf first, in both orders; the walk then climbs the run
-    and yields each flip node before (LEX) or after (GRAY) its flip child's
-    subtree.  A flip child's base is its parent's word.  The paused runs
-    sit on an explicit stack, and `a` holds the positions of the 1s of the
-    current node.  The counter is charged as an edge-by-edge walk would
-    be: n at the root, the run's reads and 3 per bubble on entering a run,
-    2 per step up a run, 1 per flip and 1 per return from a flip child.
+    The caller guarantees that the node is prefix normal with at least two
+    1s.  A run's nodes are base[:q-1] + "1" + base[q:] for r <= q <= n,
+    where `base` is its first node with the rightmost 1 (at r) cleared;
+    only r <= q < end have a flip child (ops._run).  The nodes past that
+    are yielded first, leaf first, in both orders; the walk then climbs the
+    run and yields each flip node before (LEX) or after (GRAY) its flip
+    child's subtree.  A flip child's base is its parent's word.  The paused
+    runs sit on an explicit stack, and a copy of `a` holds the positions of
+    the 1s of the current node.  The counter is charged as an edge-by-edge
+    walk would be: n at the root, the run's reads and 3 per bubble on
+    entering a run, 2 per step up a run, 1 per flip and 1 per return from a
+    flip child.
     """
-    n = len(seed)
     ctr = counter
     lex = order is Order.LEX
-    a = _ones(seed)
+    a = a[:]
     r = a[-1]
-    base = seed[: r - 1] + "0" + seed[r:]
+    chars = ["0"] * n
+    for i in a[:-1]:
+        chars[i - 1] = "1"
+    base = "".join(chars)
     # Every run starts at or after the root's r, and base[q:] is all 0s
     # for q >= r, so a node is base[:q-1] + tails[n-q].
     tails = ["1" + "0" * j for j in range(n - r + 1)]
@@ -134,20 +142,29 @@ def _walk(seed: str, order: Order, counter: OpCounter | None = None):
                 yield word
 
 
-def _tree(seed: str, order: Order, counter: OpCounter | None = None):
-    """The words of _walk(seed, order, counter), from the compiled walk
-    (`_kernel.load`) when it can be built and no counter is charged.
+def _tree(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
+    """The words of _walk(a, n, order, counter) as chunks: an iterator of
+    sequences of words, which _visit_each visits a chunk at a time.
 
-    The kernel writes them as lines of text, a chunk at a time; _walk, the
-    reference, yields them otherwise.  Same precondition as _walk.
+    With no counter, the compiled walk (`_kernel.load`) lists them when it
+    can be built, and each chunk is one native call's lines, split.  The
+    Python walk, the reference, lists them otherwise, in lists of
+    _WALK_CHUNK words; charged to a counter, one word per chunk, so the
+    counter still moves word by word.  Same precondition as _walk.
     """
     from . import _kernel
 
     kernel = _kernel.load() if counter is None else None
-    if kernel is None:
-        return _walk(seed, order, counter)
-    return chain.from_iterable(map(str.splitlines, kernel.lines(
-        _ones(seed), len(seed), order is Order.LEX)))
+    if kernel is not None:
+        return map(str.splitlines, kernel.lines(a, n, order is Order.LEX))
+    walk = _walk(a, n, order, counter)
+    return zip(walk) if counter else _chunks(walk, _WALK_CHUNK)
+
+
+def _chunks(words, size: int):
+    """The items of the iterator `words` in lists of `size`, the last one
+    shorter, as chunks for _visit_each."""
+    return iter(lambda: list(islice(words, size)), [])
 
 
 def _count(flat: list[int], lens: list[int], n: int) -> list[int]:
@@ -207,22 +224,20 @@ def _count_run(a: list[int], n: int) -> int:
 
 
 def _words(n: int, order: Order, counter: OpCounter | None = None):
-    """The walk behind every listing of length n: the all-zero word, the
-    single-1 word, then the tree rooted at 110^(n-2).
+    """The chunks of every listing of length n: the all-zero word and the
+    single-1 word, then the tree rooted at 110^(n-2) (`_tree`).
 
-    n is checked here, at call time.  The result is a C-level chain over
-    the head words and `_tree`, so taking a word resumes no Python frame
-    unless the Python walk lists it; a charged head word adds its n reads
-    as it is taken, so the counter still moves word by word.
+    n is checked here, at call time.  The two head words are one chunk;
+    charged, each is a chunk of its own and adds its n reads as it is
+    taken, so the counter still moves word by word.
     """
     _checked_length(n)
     if n < 2:
         # Words of length <= 1 are emitted without counted work.
-        return iter(("0", "1") if n else ("",))
+        return iter([("0", "1") if n else ("",)])
     heads = ("0" * n, "1" + "0" * (n - 1))
-    if counter:
-        heads = _charged(heads, counter, n)
-    return chain(heads, _tree("11" + "0" * (n - 2), order, counter))
+    heads = zip(_charged(heads, counter, n)) if counter else (heads,)
+    return chain(heads, _tree([1, 2], n, order, counter))
 
 
 def _charged(words, counter: OpCounter, reads: int):
@@ -231,24 +246,32 @@ def _charged(words, counter: OpCounter, reads: int):
         yield word
 
 
-def _checked_seed(seed: str) -> str:
+def _checked_seed(seed: str) -> list[int]:
+    """The positions of the 1s of `seed`, once it is checked."""
     check_word(seed)
-    if seed.count("1") < 2:
+    ones = _ones(seed)
+    if len(ones) < 2:
         raise ValueError("the starting word needs at least two 1s")
-    if not _is_pn(seed):
+    if not _pn_ones(ones):
         raise ValueError("the starting word is not prefix normal")
-    return seed
+    return ones
 
 
-def _visit_each(words, visit) -> int:
-    """Call `visit` on each word in turn and return how many there were.
+def _visit_each(chunks, visit) -> int:
+    """Call `visit` on each word of each chunk (a sequence of words) in
+    turn and return how many there were.
 
-    The loop runs in C: zip takes a word (calling `visit`) before it takes
-    a number from `seen`, so `next(seen)` is the number of visits.
+    Per word the loop only calls `visit`; the count grows by a chunk's
+    length.  On the kernel's chunks this is about as fast as
+    deque(map(visit, chunk), 0), which allocates two objects per chunk,
+    and a charged walk's one-word chunks would pay that per word.
     """
-    seen = count()
-    deque(zip(map(visit, words), seen), 0)
-    return next(seen)
+    total = 0
+    for chunk in chunks:
+        for word in chunk:
+            visit(word)
+        total += len(chunk)
+    return total
 
 
 def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
@@ -260,12 +283,12 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
     itself.  The visitor receives each word as a str.  Returns the visit
     count.
     """
-    return _visit_each(_tree(_checked_seed(seed), order), visit)
+    return _visit_each(_tree(_checked_seed(seed), len(seed), order), visit)
 
 
 def iter_pn(seed: str, order: Order = Order.LEX):
     """Pull-iterator version of generate_pn: yields each word as a str."""
-    return _tree(_checked_seed(seed), order)
+    return chain.from_iterable(_tree(_checked_seed(seed), len(seed), order))
 
 
 def generate_all(n: int, visit, order: Order = Order.LEX, *,
@@ -282,7 +305,7 @@ def generate_all(n: int, visit, order: Order = Order.LEX, *,
 
 def iter_all(n: int, order: Order = Order.LEX):
     """Pull-iterator version of generate_all: yields each word as a str."""
-    return _words(n, order)
+    return chain.from_iterable(_words(n, order))
 
 
 def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:

@@ -83,4 +83,11 @@ def min_flip(w: str, *, validate: bool = True) -> int:
         raise ValueError("an all-zero word has no flip position")
     if validate and not _pn_ones(ones):
         raise ValueError("word is not prefix normal")
-    return min(len(w) + 1, ones[-1] + len(next(_blocks(ones))))
+    return _min_flip(ones, len(w))
+
+
+def _min_flip(a: list[int], n: int) -> int:
+    """min_flip of the prefix normal word of length n whose 1s sit at the
+    1-based positions `a`, at least one: where the densest extension of
+    its prefix up to the last 1 puts its next 1, or n + 1."""
+    return min(n + 1, a[-1] + len(next(_blocks(a))))

@@ -4,7 +4,7 @@ Positions are 1-based throughout (w_1 is the first symbol), matching the
 usual conventions for words.  The public prefix-normality test,
 `is_prefix_normal`, is a deliberately naive double loop over all factors:
 it is the ground truth that every faster routine in the package is checked
-against.  The package's own paths use `_is_pn`, an exact test over the
+against.  The package's own paths use `_pn_ones`, an exact test over the
 positions of the 1s alone.
 """
 
@@ -70,12 +70,6 @@ def is_prefix_normal(w: str) -> bool:
                 if ones > p[j - start + 1]:
                     return False
     return True
-
-
-def _is_pn(w: str) -> bool:
-    """Whether w is prefix normal, from the positions of its 1s alone
-    (`_pn_ones`)."""
-    return _pn_ones(_ones(w))
 
 
 def _pn_ones(a: list[int]) -> bool:

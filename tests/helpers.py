@@ -103,7 +103,7 @@ def dfs_listing(n: int) -> list[str]:
     lists them in order.  Appending a 0 keeps a word prefix normal.  With
     the 1s at the 0-based positions d_0 < ... < d_{k-1}, a 1 appended at j
     keeps it prefix normal iff the positions stay superadditive
-    (`words._is_pn`): j = 0 when k = 0, else j >= d_p + d_{k-p} for every
+    (`words._pn_ones`): j = 0 when k = 0, else j >= d_p + d_{k-p} for every
     0 < p < k, an O(k) test.
     """
     out: list[str] = []

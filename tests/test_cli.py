@@ -207,7 +207,9 @@ def _full_batches(words, fmt, total):
     return reference_emit_words(words[:k], fmt)
 
 
-@pytest.mark.parametrize("j", [0, 1, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
+# The walk hands over chunks of 100 words: j = 100 ends on a whole chunk,
+# j = 99 and 101 inside one.
+@pytest.mark.parametrize("j", [0, 1, 99, 100, 101, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
 def test_a_walk_that_raises_leaves_only_the_full_batches(j):
     # The partial batch is written on the normal return only: neither the
     # error nor the collection of the writer afterwards writes more.
@@ -215,7 +217,8 @@ def test_a_walk_that_raises_leaves_only_the_full_batches(j):
     for fmt in ("plain", "csv", "json"):
         def walk(visit):
             def source():
-                yield from words[:j]
+                for i in range(0, j, 100):
+                    yield words[i:min(i + 100, j)]
                 raise _Stop
             return _visit_each(source(), visit)
 

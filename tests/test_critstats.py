@@ -142,7 +142,7 @@ def test_critset_does_not_recheck_its_root(monkeypatch):
     def refuse(w):
         raise AssertionError("the class root was checked again")
 
-    monkeypatch.setattr(generate, "_is_pn", refuse)
+    monkeypatch.setattr(generate, "_pn_ones", refuse)
     assert [collect(n, *q) for q in queries] == want
 
 

@@ -24,7 +24,8 @@ from prefixnormal import (
 )
 from prefixnormal.generate import _count, _count_run, _visit_each, _walk
 
-from helpers import dfs_listing, flat, pn_def_set, reference_inorder, reference_postorder
+from helpers import (dfs_listing, flat, pn_def_set, reference_inorder, reference_postorder,
+                     run_in_process)
 
 GRAY_SUBTREE_8 = [
     "11000001", "11000011", "11000010", "11000101", "11000110", "11000100",
@@ -111,7 +112,7 @@ def test_iter_all_equals_the_python_walk_without_the_kernel(monkeypatch):
         assert list(iter_all(0, order)) == [""]
         assert list(iter_all(1, order)) == ["0", "1"]
         for n in range(2, 13):
-            want = ["0" * n, "1" + "0" * (n - 1), *_walk("11" + "0" * (n - 2), order)]
+            want = ["0" * n, "1" + "0" * (n - 1), *_walk([1, 2], n, order)]
             assert list(iter_all(n, order)) == want, (n, order)
 
 
@@ -224,17 +225,20 @@ class _Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("j", [0, 1, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
+# Chunks of 100 words: j = 99 and 100 raise on the last word of the first
+# chunk and on the first word of the second.
+@pytest.mark.parametrize("j", [0, 1, 99, 100, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
 def test_visit_each_reraises_a_visitor_error(j):
     # A visitor that takes j words and raises on the next ends the visits
-    # there: the error comes out unchanged, and no further word is taken.
+    # there: the error comes out unchanged, and no further chunk is taken.
     words = list(iter_all(12))
+    chunks = [words[i:i + 100] for i in range(0, len(words), 100)]
     taken, seen = [], []
 
     def source():
-        for w in words:
-            taken.append(w)
-            yield w
+        for chunk in chunks:
+            taken.append(chunk)
+            yield chunk
 
     def visit(w):
         if len(seen) == j:
@@ -244,7 +248,45 @@ def test_visit_each_reraises_a_visitor_error(j):
     with pytest.raises(_Stop):
         _visit_each(source(), visit)
     assert seen == words[:j]
-    assert taken == words[: j + 1]
+    assert taken == chunks[: j // 100 + 1]
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+def test_each_listing_entry_point_finds_the_ones_once(monkeypatch, kernel):
+    # A checked seed's 1 positions are built once and handed to the walk,
+    # `check` builds its word's once for the test and min_flip, and a class
+    # root's come from (s, t) in closed form.
+    import prefixnormal.critstats as critstats_module
+    import prefixnormal.generate as generate_module
+    import prefixnormal.infinite as infinite_module
+    import prefixnormal.ops as ops_module
+    import prefixnormal.words as words_module
+
+    calls = []
+    ones = words_module._ones
+
+    def counted(w):
+        calls.append(w)
+        return ones(w)
+
+    for module in (words_module, generate_module, ops_module, cli, critstats_module,
+                   infinite_module):
+        monkeypatch.setattr(module, "_ones", counted, raising=False)
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    seed = "1101001000"
+    for order in Order:
+        entry_points = {
+            "generate_pn": (lambda: generate_pn(seed, [].append, order), 1),
+            "iter_pn": (lambda: list(iter_pn(seed, order)), 1),
+            "critset": (lambda: critset(10, 1, 2, [].append, order), 0),
+            "check": (lambda: run_in_process("check", seed), 1),
+            "check non-pn": (lambda: run_in_process("check", "1011"), 1),
+        }
+        for name, (call, want) in entry_points.items():
+            calls.clear()
+            call()
+            assert len(calls) == want, (name, order, calls)
 
 
 def test_count_pn():

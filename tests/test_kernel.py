@@ -3,6 +3,7 @@
 fallback when it is missing."""
 
 import os
+import random
 import shutil
 import signal
 import stat
@@ -15,10 +16,10 @@ import pytest
 
 from prefixnormal import (OpCounter, Order, _kernel, count_pn, critset_count, critset_table,
                           generate, generate_all, generate_pn, iter_all, iter_pn,
-                          oracle_enumerate)
+                          is_prefix_normal, oracle_enumerate)
 from prefixnormal.critstats import _classes
 from prefixnormal.generate import _count, _count_run, _walk
-from prefixnormal.ops import _run
+from prefixnormal.ops import _min_flip, _run
 
 from helpers import flat, reference_class_root, run_in_process
 
@@ -47,7 +48,7 @@ def kernel():
 
 
 def walk_lines(root, order):
-    return "".join(w + "\n" for w in _walk(root, order))
+    return "".join(w + "\n" for w in _walk(ones(root), len(root), order))
 
 
 def kernel_lines(root, order):
@@ -183,7 +184,34 @@ def test_kernel_lists_long_words():
         chunk = next(native().lines(ones(root), 200, order is Order.LEX))
         words = chunk.splitlines()
         assert len(chunk) <= _kernel._CHUNK
-        assert words == list(islice(_walk(root, order), len(words))), order
+        assert words == list(islice(_walk(ones(root), 200, order), len(words))), order
+
+
+def test_lister_equals_the_walk_below_deep_roots():
+    # 20 seeded random nodes at n = 24..32, reached by random bubbles and
+    # flips from 110^(n-2), 12 of them with more than 5,000 words in their
+    # subtrees (up to 80 million): the first 5,000 words of iter_pn are the
+    # Python walk's.
+    native()
+    rng = random.Random(25)
+    long = 0
+    for _ in range(20):
+        n = rng.randint(24, 32)
+        a = [1, 2]
+        for _ in range(rng.randint(2, 12)):
+            phi = _min_flip(a, n)
+            steps = (([a[:-1] + [a[-1] + 1]] if a[-1] < n else [])
+                     + ([a + [phi]] if phi <= n else []))
+            if not steps:
+                break
+            a = rng.choice(steps)
+        root = "".join("1" if i in a else "0" for i in range(1, n + 1))
+        assert is_prefix_normal(root), root
+        for order in Order:
+            got = list(islice(iter_pn(root, order), 5000))
+            assert got == list(islice(_walk(a, n, order), 5000)), (root, order)
+            long += len(got) == 5000
+    assert long == 24
 
 
 def test_kernel_lister_resumes_after_any_budget(monkeypatch):
@@ -233,10 +261,10 @@ def test_listings_come_from_the_kernel(monkeypatch):
     # Every listing but one charged to an OpCounter splits the kernel's
     # lines; the Python walk is not entered.
     native()
-    want = {order: ["0" * 12, "1" + "0" * 11, *_walk("11" + "0" * 10, order)]
+    want = {order: ["0" * 12, "1" + "0" * 11, *_walk([1, 2], 12, order)]
             for order in Order}
     seed = "1101" + "0" * 8
-    want_pn = {order: list(_walk(seed, order)) for order in Order}
+    want_pn = {order: list(_walk(ones(seed), 12, order)) for order in Order}
 
     def refuse(*args):
         raise AssertionError("listed by the Python walk")

@@ -23,7 +23,7 @@ from prefixnormal import (
     stream_prefix,
     words as words_module,
 )
-from prefixnormal.words import _is_pn
+from prefixnormal.words import _ones, _pn_ones
 
 from helpers import run_in_process, seeds_ending_in_one, window_formulation_is_pn
 
@@ -60,6 +60,10 @@ def test_two_formulations_agree_up_to_14():
         for k in range(1 << n):
             w = format(k, f"0{n}b") if n else ""
             assert is_prefix_normal(w) == window_formulation_is_pn(w), w
+
+
+def _is_pn(w):
+    return _pn_ones(_ones(w))
 
 
 def test_closed_form_equals_the_naive_test_up_to_16():

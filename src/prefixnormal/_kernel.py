@@ -24,12 +24,11 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # other signals only between calls.
 _BUDGET = 1 << 20
 # Bytes of lines per native call of the lister.  A listing holds the
-# buffer, the chunk decoded from it and, while the visitor takes them, the
-# list of that chunk's words (about 3.5 times the chunk at n = 18), so
-# this bounds its memory.
+# buffer, the text decoded from it and the list of its words (about 3.5
+# times the text at n = 18), so this bounds its memory.
 _CHUNK = 1 << 13
 
-Kernel = namedtuple("Kernel", "count lines")
+Kernel = namedtuple("Kernel", "count words")
 
 
 def _cache_dir() -> str:
@@ -109,30 +108,32 @@ def _build():
         except struct.error:
             raise ValueError(_NOT_A_NODE) from None
 
-    def count(flat: list[int], lens: list[int], n: int) -> list[int]:
-        """Words in the subtree of each node of a batch, as
-        generate._count_run counts them, exact at any n.  The positions of
-        each root's 1s sit back to back in `flat`, and `lens` holds how
-        many each root has.
+    def count(roots: list[list[int]], n: int) -> list[int]:
+        """Words in the subtree of each root, a list of the positions of
+        its 1s, as generate._count_run counts them, exact at any n.
 
-        One native call counts the roots one after another and stops after
-        about _BUDGET steps in all, inside a root or not; each of its
-        64-bit partial counts holds at most 4 * _BUDGET * n, and the
-        partials add up here in Python ints.  Raises ValueError if a root
-        is not a node of the tree.
+        The roots are packed for the kernel as their positions back to
+        back and how many each has.  One native call counts them one after
+        another and stops after about _BUDGET steps in all, inside a root
+        or not; each of its 64-bit partial counts holds at most
+        4 * _BUDGET * n, and the partials add up here in Python ints.
+        Raises ValueError if a root is not a node of the tree.
         """
+        # Extended a root at a time: the histogram's 162 roots at n = 21
+        # pack in about 35 us, against 50 us through chain.from_iterable
+        # (2 CPUs, Python 3.11).
+        flat, lens = [], list(map(len, roots))
+        for a in roots:
+            flat += a
         m = len(lens)
-        # The kernel reads each root where the lengths before it end.
-        if sum(lens) != len(flat) or min(lens, default=0) < 0:
-            raise ValueError("the lengths do not split the positions into roots")
-        roots, lengths = ints(len(flat), flat), ints(m, lens)
+        packed, lengths = ints(len(flat), flat), ints(m, lens)
         parts = (ctypes.c_uint64 * m)()
         i = ctypes.c_int(0)
         pos, frames, k = state(n)
         totals = [0] * m
         while True:
             start = i.value
-            done = c_count(n, m, roots, lengths, i, pos, frames, k, parts, _BUDGET)
+            done = c_count(n, m, packed, lengths, i, pos, frames, k, parts, _BUDGET)
             if done < 0:
                 raise ValueError(_NOT_A_NODE)
             stop = min(i.value + 1, m)
@@ -140,10 +141,11 @@ def _build():
             if done:
                 return totals
 
-    def lines(a: list[int], n: int, lex: bool):
+    def words(a: list[int], n: int, lex: bool):
         """Yield the words of the subtree of the node whose 1s sit at `a`,
-        in the order of generate._walk, as str chunks of whole lines
-        "word\\n".  Raises ValueError if `a` is not a node of the tree."""
+        in the order of generate._walk, one list of str per native call,
+        which writes them as lines "word\\n".  Raises ValueError if `a` is
+        not a node of the tree."""
         root = ints(len(a), a)
         pos, frames, k = state(n)
         # The kernel writes the root's run base here when it enters it.
@@ -159,12 +161,12 @@ def _build():
                 raise ValueError(_NOT_A_NODE)
             if used.value:
                 # Decoded straight from the buffer, with no bytes copy.
-                yield str(view[:used.value], "ascii")
+                yield str(view[:used.value], "ascii").splitlines()
                 used.value = 0
             if done:
                 return
 
-    return Kernel(count, lines)
+    return Kernel(count, words)
 
 
 _NOT_A_NODE = ("the kernel walks only nodes of the tree: two or more strictly "
@@ -173,7 +175,7 @@ _NOT_A_NODE = ("the kernel walks only nodes of the tree: two or more strictly "
 
 @functools.cache
 def load():
-    """The native walk as Kernel(count, lines), or None when it cannot be
+    """The native walk as Kernel(count, words), or None when it cannot be
     built here.
 
     The first call builds and loads the library; later calls return the

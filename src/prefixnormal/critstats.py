@@ -17,37 +17,33 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, islice
 
-from .generate import DEFAULT_GEN_CAP, Order, _count, _tree, _visit_each
+from .generate import DEFAULT_GEN_CAP, Order, _checked_order, _count, _tree, _visit_each
 from .words import _checked_length
 
 
 def _classes(n: int, classes: list[tuple[int, int]]):
     """The classes (s, t) of length n (s >= 1, t >= 0), in one pass, as
-    (sizes, flat, lens, rooted): sizes[i] is 1 when class i holds its seed,
-    its one word outside the tree, and 0 when the class is empty; flat
-    holds the 1-based positions of the 1s of each seed's flip child, whose
-    flip-subtree holds every other word, back to back, lens their lengths,
-    and rooted the indices of the classes whose seed has a flip child.
+    (sizes, roots): sizes[i] is 1 when class i holds its seed, its one word
+    outside the tree, and 0 when the class is empty, and roots maps i to
+    the 1-based positions of the 1s of the seed's flip child, whose
+    flip-subtree holds every other word, when it has one.
 
-    The seed 1^s 0^t 1 0^(n-s-t-1) has its 1s at 1..s and s+t+1, so
-    ops._run pairs them to min_flip 2t + 3 when s == 1 (the one pair
-    a_2 + a_2), and to s + t + 2 otherwise (a_2 + a_k beats each inner pair
-    x + (s + 3 - x)).  With t == 0 and symbols left over, the next one would
-    be a 1 and the leading 1-run longer than s, so the class is empty.
+    The seed 1^s 0^t 1 0^(n-s-t-1) has its 1s at 1..s and s+t+1, which
+    ops._run pairs to min_flip 2t + 3 when s == 1 (the one pair a_2 + a_2)
+    and s + t + 2 otherwise (a_2 + a_k beats each inner pair
+    x + (s + 3 - x)).  With t == 0 and symbols left over, the next one
+    would be a 1 and the leading 1-run longer than s, so the class is empty.
     """
-    sizes, flat, lens, rooted = [], [], [], []
+    sizes, roots = [], {}
     for i, (s, t) in enumerate(classes):
         if 0 < t < n - s:
             sizes.append(1)
             phi = 2 * t + 3 if s == 1 else s + t + 2
             if phi <= n:
-                flat += range(1, s + 1)
-                flat += s + t + 1, phi
-                lens.append(s + 2)
-                rooted.append(i)
+                roots[i] = [*range(1, s + 1), s + t + 1, phi]
         else:
             sizes.append(int(s + t == n))
-    return sizes, flat, lens, rooted
+    return sizes, roots
 
 
 def _checked_class(n: int, s: int, t: int) -> None:
@@ -62,8 +58,8 @@ def _checked_class(n: int, s: int, t: int) -> None:
 def _sizes(n: int, classes: list[tuple[int, int]]) -> list[int]:
     """The sizes of the classes (s, t) of length n, with every flip-subtree
     counted in one `_count` batch."""
-    sizes, flat, lens, rooted = _classes(n, classes)
-    for i, count in zip(rooted, _count(flat, lens, n)):
+    sizes, roots = _classes(n, classes)
+    for i, count in zip(roots, _count(list(roots.values()), n)):
         sizes[i] += count
     return sizes
 
@@ -77,7 +73,8 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     number of words visited.
     """
     _checked_class(n, s, t)
-    (size,), root, _, _ = _classes(n, [(s, t)])
+    _checked_order(order)
+    (size,), roots = _classes(n, [(s, t)])
     if not size:
         return 0
     # The seed 1^s 0^t 1 0^(n-s-t-1), cut to n, is prefix normal: a factor
@@ -87,7 +84,7 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     # of a prefix normal seed, is listed from its positions without
     # re-checking it.  The seed is a chunk of its own.
     seed = (("1" * s + "0" * t + "1" + "0" * (n - s - t - 1))[:n],)
-    tree = _tree(root, n, order) if root else ()
+    tree = _tree(roots[0], n, order) if roots else ()
     return _visit_each(chain((seed,), tree) if order is Order.LEX else chain(tree, (seed,)),
                        visit)
 

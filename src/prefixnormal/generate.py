@@ -1,41 +1,31 @@
 """Recursive-tree generation of prefix normal words, without the recursion.
 
 Every prefix normal word of length n with at least two 1s sits in a binary
-tree: a node's left child moves its rightmost 1 one step right (bubble), its
-right child writes a new 1 at the first legal position (flip at min_flip).
-An in-order walk of that tree lists the words in increasing lexicographic
-order; a post-order walk lists them so that neighbours differ in at most 3
-positions (a combinatorial Gray code).
+tree rooted at 110^(n-2): a node's left child moves its rightmost 1 one step
+right (bubble), its right child writes a new 1 at the first legal position
+(flip at min_flip).  An in-order walk lists the words in increasing
+lexicographic order (LEX); a post-order walk lists them so that neighbours
+differ in at most 3 positions (GRAY).  The full listings put 0^n and
+10^(n-1) in front of that tree.
 
-Both walks go a bubble run at a time: the left spine from a node, along
-which its rightmost 1 slides to the end.  min_flip never decreases along a
-run, so the nodes with a flip child form a prefix of it, and one pass over
-the positions of the 1s (`ops._run`, O(number of 1s)) gives that prefix
-and min_flip at each of its nodes.  The listing walk keeps its paused runs
-on an explicit stack, and the order only decides whether a flip node is
-yielded before (LEX) or after (GRAY) its flip child's subtree.  Every
-listing is a thin shell over that walk; the full listings put 0^n and
-10^(n-1) in front of the tree rooted at 110^(n-2).
+Both walks go a bubble run at a time: the left spine from a node whose
+rightmost 1 is at r, along which that 1 slides to n.  One pass over the 1s
+(`ops._run`) gives the nodes r <= q < end of the run that have a flip
+child, and min_flip at each.  The nodes past end are listed first, leaf
+first, in both orders; the walk then climbs the run downward and lists each
+flip node before (LEX) or after (GRAY) its flip child's subtree, whose run
+starts from the flip node.  A flip child at n is a single leaf.  The paused
+runs sit on an explicit stack, one frame per 1 added, so any depth fits.  A
+count builds no words: it adds a run's n - r + 1 nodes in one step and
+enters only the flip children below n.
 
-Counts build no words: a smaller walk over the positions of the 1s alone,
-on a stack of its own, adds a whole run of n - r + 1 words in one step
-and descends only into the flip children.  One C walk (`_kernel`),
-compiled on first use when a C compiler is present, does both jobs: in
-one mode it writes the words of every listing as lines, a chunk of text
-per native call; in the other it counts a batch of subtrees in one call
-(`_count`), exactly at every n.  The Python walks are the reference and
-the path without a compiler; the listing walk is also the one an
-OpCounter is charged on.
-
-A listing travels as chunks, sequences of words (`_tree`): the split
-lines of one native call, the two head words together, or lists of
-_WALK_CHUNK words from the Python walk, one word each when a counter is
-charged so that it moves word by word.  `_visit_each` visits a chunk in
-one loop and counts it once, and the iterators chain the chunks
-(`itertools.chain.from_iterable`), so no word takes a zip, count or chain
-step of its own or resumes a Python frame before the visitor.  The
-visitor is the caller's: the CLI's resumes its batching generator once
-per word.
+One C walk (`_kernel`), compiled on first use when a C compiler is present,
+lists a subtree as one list of words per native call and counts a batch of
+subtrees exactly at any n.  The Python walks, `_walk` and `_count_run`, are
+its reference and the path without a compiler; `_walk` is also the one an
+OpCounter is charged on.  A listing travels as chunks, sequences of words
+(`_tree`), which `_visit_each` visits in one loop and the iterators chain,
+so no word resumes a Python frame of its own before the visitor.
 """
 
 from __future__ import annotations
@@ -69,21 +59,15 @@ class OpCounter:
 
 
 def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
-    """Yield each word of the tree rooted at the node of length n whose 1s
-    sit at the 1-based positions `a`, as a str, a bubble run at a time.
+    """Yield each word of the tree rooted at the prefix normal node of
+    length n whose two or more 1s sit at the 1-based positions `a`, as a
+    str, in `order` (see the module docstring).
 
-    The caller guarantees that the node is prefix normal with at least two
-    1s.  A run's nodes are base[:q-1] + "1" + base[q:] for r <= q <= n,
-    where `base` is its first node with the rightmost 1 (at r) cleared;
-    only r <= q < end have a flip child (ops._run).  The nodes past that
-    are yielded first, leaf first, in both orders; the walk then climbs the
-    run and yields each flip node before (LEX) or after (GRAY) its flip
-    child's subtree.  A flip child's base is its parent's word.  The paused
-    runs sit on an explicit stack, and a copy of `a` holds the positions of
-    the 1s of the current node.  The counter is charged as an edge-by-edge
-    walk would be: n at the root, the run's reads and 3 per bubble on
-    entering a run, 2 per step up a run, 1 per flip and 1 per return from a
-    flip child.
+    A run's nodes are base[:q-1] + "1" + base[q:] for r <= q <= n, where
+    `base` is its first node with the rightmost 1 cleared.  The counter is
+    charged as an edge-by-edge walk would be: n at the root, the run's
+    reads and 3 per bubble on entering a run, 2 per step up a run, 1 per
+    flip and 1 per return from a flip child.
     """
     ctr = counter
     lex = order is Order.LEX
@@ -143,61 +127,40 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
 
 
 def _tree(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
-    """The words of _walk(a, n, order, counter) as chunks: an iterator of
-    sequences of words, which _visit_each visits a chunk at a time.
-
-    With no counter, the compiled walk (`_kernel.load`) lists them when it
-    can be built, and each chunk is one native call's lines, split.  The
-    Python walk, the reference, lists them otherwise, in lists of
-    _WALK_CHUNK words; charged to a counter, one word per chunk, so the
-    counter still moves word by word.  Same precondition as _walk.
-    """
+    """The words of _walk(a, n, order, counter) as an iterator of chunks:
+    the compiled walk's lists of words when it can be built and no counter
+    is charged, else the Python walk's words, _WALK_CHUNK to a list, or one
+    to a chunk when charged, so that the counter moves word by word."""
     from . import _kernel
 
     kernel = _kernel.load() if counter is None else None
     if kernel is not None:
-        return map(str.splitlines, kernel.lines(a, n, order is Order.LEX))
+        return kernel.words(a, n, order is Order.LEX)
     walk = _walk(a, n, order, counter)
     return zip(walk) if counter else _chunks(walk, _WALK_CHUNK)
 
 
 def _chunks(words, size: int):
-    """The items of the iterator `words` in lists of `size`, the last one
-    shorter, as chunks for _visit_each."""
+    """The items of the iterator `words` in lists of `size`, the last one shorter."""
     return iter(lambda: list(islice(words, size)), [])
 
 
-def _count(flat: list[int], lens: list[int], n: int) -> list[int]:
-    """Number of words in the tree rooted at each node of a batch, without
-    yielding any.  The positions of each root's 1s sit back to back in
-    `flat`, and `lens` holds how many each root has.  Each root must be
-    prefix normal with at least two 1s.
-
-    The compiled kernel (`_kernel.load`) counts them all in one batch when
-    it can be built, at any n; otherwise `_count_run`, the reference, counts
-    each in turn, on a copy, since it moves the last position.
-    """
+def _count(roots: list[list[int]], n: int) -> list[int]:
+    """Words in the tree rooted at each of `roots`, the positions of the 1s
+    of prefix normal nodes with at least two 1s: in one batch of the
+    compiled walk when it can be built, else by `_count_run` on a copy."""
     from . import _kernel
 
     kernel = _kernel.load()
     if kernel is None:
-        positions = iter(flat)
-        return [_count_run(list(islice(positions, k)), n) for k in lens]
-    return kernel.count(flat, lens, n)
+        return [_count_run(a[:], n) for a in roots]
+    return kernel.count(roots, n)
 
 
 def _count_run(a: list[int], n: int) -> int:
     """Words in the subtree of the node whose 1s sit at the positions `a`,
-    counted a bubble run at a time.
-
-    The run from the rightmost 1 r holds n - r + 1 nodes, and only
-    r <= q < end have a flip child (ops._run); one at n is a single leaf.
-    Each run is climbed downward from end, as in _walk, and every other
-    flip child's run is entered with its position appended to `a`.  The
-    paused runs sit on an explicit stack, one frame per 1 added, so any
-    depth fits.  The runs move a's last entry in place; the caller pops or
-    drops it.  This is the reference the compiled kernel is tested against.
-    """
+    counted a bubble run at a time as the module docstring says.  It moves
+    a's last entry in place."""
     stack: list[tuple[int, int, int, int]] = []
     push, pop = stack.append, stack.pop
     total, r = 0, a[-1]
@@ -224,14 +187,11 @@ def _count_run(a: list[int], n: int) -> int:
 
 
 def _words(n: int, order: Order, counter: OpCounter | None = None):
-    """The chunks of every listing of length n: the all-zero word and the
-    single-1 word, then the tree rooted at 110^(n-2) (`_tree`).
-
-    n is checked here, at call time.  The two head words are one chunk;
-    charged, each is a chunk of its own and adds its n reads as it is
-    taken, so the counter still moves word by word.
-    """
+    """The chunks of every listing of length n, once n and `order` are
+    checked: the two head words, one chunk, or one chunk each charged with
+    n reads, then the tree rooted at 110^(n-2) (`_tree`)."""
     _checked_length(n)
+    _checked_order(order)
     if n < 2:
         # Words of length <= 1 are emitted without counted work.
         return iter([("0", "1") if n else ("",)])
@@ -246,6 +206,13 @@ def _charged(words, counter: OpCounter, reads: int):
         yield word
 
 
+def _checked_order(order: Order) -> Order:
+    """`order`, once it is an Order: a str or any other value raises ValueError."""
+    if not isinstance(order, Order):
+        raise ValueError(f"order must be Order.LEX or Order.GRAY, not {order!r}")
+    return order
+
+
 def _checked_seed(seed: str) -> list[int]:
     """The positions of the 1s of `seed`, once it is checked."""
     check_word(seed)
@@ -258,14 +225,8 @@ def _checked_seed(seed: str) -> list[int]:
 
 
 def _visit_each(chunks, visit) -> int:
-    """Call `visit` on each word of each chunk (a sequence of words) in
-    turn and return how many there were.
-
-    Per word the loop only calls `visit`; the count grows by a chunk's
-    length.  On the kernel's chunks this is about as fast as
-    deque(map(visit, chunk), 0), which allocates two objects per chunk,
-    and a charged walk's one-word chunks would pay that per word.
-    """
+    """Call `visit` on each word of each chunk in turn and return how many
+    there were; per word the loop only calls `visit`."""
     total = 0
     for chunk in chunks:
         for word in chunk:
@@ -283,12 +244,12 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
     itself.  The visitor receives each word as a str.  Returns the visit
     count.
     """
-    return _visit_each(_tree(_checked_seed(seed), len(seed), order), visit)
+    return _visit_each(_tree(_checked_seed(seed), len(seed), _checked_order(order)), visit)
 
 
 def iter_pn(seed: str, order: Order = Order.LEX):
     """Pull-iterator version of generate_pn: yields each word as a str."""
-    return chain.from_iterable(_tree(_checked_seed(seed), len(seed), order))
+    return chain.from_iterable(_tree(_checked_seed(seed), len(seed), _checked_order(order)))
 
 
 def generate_all(n: int, visit, order: Order = Order.LEX, *,
@@ -314,4 +275,4 @@ def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     if n < 2:
         return n + 1
     # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).
-    return 2 + _count([1, 2], [2], n)[0]
+    return 2 + _count([[1, 2]], n)[0]

@@ -4,17 +4,10 @@ Repeatedly appending the shortest run of 0s followed by a 1 (the densest
 extension that stays prefix normal) turns a finite word into an infinite one
 that is ultimately periodic.  `extend_min` finds each 0-run by trying every
 candidate with the quadratic test; it is the reference.  Each entry point
-checks its seed once with `words._pn_ones`, which is exact and costs
-O(k**2) in the seed's number k of 1s, and keeps the positions of those 1s.
-The fast path, `_blocks`, takes them and steps one block 0^k 1 at a time,
-with k in closed form from the 1s of the seed and those among the last
-len(seed) - 1 symbols, the window, in O(number of 1s in the window).
-`extend_stream` flattens the blocks, and `ops.min_flip` reads the first.
-The window is all the state the extension keeps, so `detect_period`
-certifies the period exactly: it appends blocks to the string read so far
-until the window at the end of a 1 equals the one iota symbols earlier,
-where iota is the length of the seed's minimum-density prefix, the period
-length the paper predicts.
+checks its seed once with `words._pn_ones` and keeps the positions of its
+1s.  The fast path, `_blocks`, steps one block 0^k 1 at a time, with k in
+closed form (`extend_stream`); `ops.min_flip` reads the first block, and
+`detect_period` certifies the period on them.
 """
 
 from __future__ import annotations

@@ -2,12 +2,8 @@
 
 `min_flip` is the workhorse: for a prefix normal word it finds the smallest
 position past the rightmost 1 where a 1 can be written without breaking
-prefix normality (the sentinel n+1 means "nowhere").  That is where the
-densest extension of the word up to its rightmost 1 puts its next 1, so
-it is read off that extension's first block (`infinite._blocks`), in
-O(number of 1s).  Sliding the rightmost 1 moves only one pair sum of that
-closed form, so one pass (`_run`) gives min_flip at every node of the
-slide run and the range of nodes where a flip fits; both walks use it.
+prefix normality (the sentinel n+1 means "nowhere"), in O(number of 1s).
+`_run` gives it along a whole bubble run in one pass, for both walks.
 """
 
 from __future__ import annotations
@@ -41,13 +37,10 @@ def _run(a: list[int], n: int) -> tuple[int, int, int, int]:
     """The bubble run from the node whose 1s sit at the 1-based positions
     a_1 < ... < a_k = r, k >= 2.
 
-    A 1 written at j > r puts c + 1 1s into the suffix that starts at
-    a_{k+1-c} (the c-th 1 from the right), so that suffix's length
-    j + 1 - a_{k+1-c} must reach a_{c+1}, where the prefix gets its
-    (c + 1)-th 1.  Longer suffixes with the same count, and suffixes ending
-    before j, are no tighter.  So min_flip is
-    min(n + 1, max_{2<=x<=k} (a_x + a_{k+2-x}) - 1), the same pairing
-    extend_stream uses, and equals min(n + 1, len(extend_min(w[:r]))).
+    min_flip is where the densest extension of the node's first r symbols
+    puts its next 1, at most n + 1.  That is the end of the extension's
+    first block (`extend_stream`, with a_2 .. a_k in the window), so
+    min_flip = min(n + 1, max_{2<=x<=k} (a_x + a_{k+2-x}) - 1).
 
     Bubbling moves only a_k, so along the run only the pair sum a_2 + a_k
     moves: the node whose rightmost 1 is at q has min_flip

@@ -157,12 +157,6 @@ def reference_class_root(n: int, s: int, t: int) -> tuple[str | None, str | None
     return seed, flip(seed, phi) if phi <= n else None
 
 
-def flat(roots: list[list[int]]) -> tuple[list[int], list[int]]:
-    """A batch of roots as generate._count takes it: their positions back
-    to back, and how many each root has."""
-    return [p for a in roots for p in a], [len(a) for a in roots]
-
-
 def pn_words(n: int) -> tuple[str, ...]:
     return oracle_enumerate(n)
 

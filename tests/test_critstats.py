@@ -77,16 +77,13 @@ def test_closed_form_roots_equal_the_flipped_seeds():
     # classes, and each length's classes go in one batch.
     for n in range(0, 41):
         pairs = [(s, t) for s in range(1, n + 2) for t in range(0, n - s + 2)]
-        sizes, flat, lens, rooted = [], [], [], []
+        sizes, roots = [], {}
         for i, (s, t) in enumerate(pairs):
             seed, root = reference_class_root(n, s, t)
-            ones = [j for j, ch in enumerate(root, 1) if ch == "1"] if root else None
             sizes.append(int(seed is not None))
-            if ones:
-                flat += ones
-                lens.append(len(ones))
-                rooted.append(i)
-        assert _classes(n, pairs) == (sizes, flat, lens, rooted), n
+            if root:
+                roots[i] = [j for j, ch in enumerate(root, 1) if ch == "1"]
+        assert _classes(n, pairs) == (sizes, roots), n
 
 
 def test_spot_count():

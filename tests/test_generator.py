@@ -24,7 +24,7 @@ from prefixnormal import (
 )
 from prefixnormal.generate import _count, _count_run, _visit_each, _walk
 
-from helpers import (dfs_listing, flat, pn_def_set, reference_inorder, reference_postorder,
+from helpers import (dfs_listing, pn_def_set, reference_inorder, reference_postorder,
                      run_in_process)
 
 GRAY_SUBTREE_8 = [
@@ -121,6 +121,27 @@ def test_iter_all_checks_the_length_when_called():
     for order in Order:
         with pytest.raises(ValueError, match="nonnegative"):
             iter_all(-1, order)
+
+
+def test_listings_refuse_an_order_that_is_not_an_order():
+    # A str, even an Order's value, is refused when called, also where no
+    # tree is walked: n < 2, a class that is only its seed, empty classes.
+    visited = []
+    for order in ("lex", "gray", "banana", None, 0):
+        for n in (0, 1, 2, 4):
+            with pytest.raises(ValueError, match="order"):
+                generate_all(n, visited.append, order)
+            with pytest.raises(ValueError, match="order"):
+                iter_all(n, order)
+        for seed in ("11", "1101", "110100"):
+            with pytest.raises(ValueError, match="order"):
+                generate_pn(seed, visited.append, order)
+            with pytest.raises(ValueError, match="order"):
+                iter_pn(seed, order)
+        for s, t in ((1, 1), (2, 1), (6, 0), (1, 0), (7, 0), (3, 4)):
+            with pytest.raises(ValueError, match="order"):
+                critset(6, s, t, visited.append, order)
+    assert visited == []
 
 
 def test_full_enumeration_against_bruteforce():
@@ -306,7 +327,7 @@ def test_count_matches_the_walk():
     for n in range(2, 15):
         seeds = [w for w in oracle_enumerate(n) if w.count("1") >= 2]
         roots = [[i for i, ch in enumerate(w, 1) if ch == "1"] for w in seeds]
-        counts = _count(*flat(roots), n)
+        counts = _count(roots, n)
         assert counts == [sum(1 for _ in iter_pn(w)) for w in seeds], n
         assert counts == [_count_run(a, n) for a in roots], n
 

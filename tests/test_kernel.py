@@ -21,7 +21,7 @@ from prefixnormal.critstats import _classes
 from prefixnormal.generate import _count, _count_run, _walk
 from prefixnormal.ops import _min_flip, _run
 
-from helpers import flat, reference_class_root, run_in_process
+from helpers import reference_class_root, run_in_process
 
 # count_pn(n) for n = 0 .. 21 (OEIS A194850).
 COUNTS = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185,
@@ -44,7 +44,7 @@ def native():
 def kernel():
     # One root per call; test_batch_resumes_after_any_budget counts batches.
     count = native().count
-    return lambda a, n: count(a, [len(a)], n)[0]
+    return lambda a, n: count([a], n)[0]
 
 
 def walk_lines(root, order):
@@ -52,9 +52,10 @@ def walk_lines(root, order):
 
 
 def kernel_lines(root, order):
-    chunks = list(native().lines(ones(root), len(root), order is Order.LEX))
-    assert all(chunk.endswith("\n") for chunk in chunks)
-    return "".join(chunks)
+    chunks = list(native().words(ones(root), len(root), order is Order.LEX))
+    # Each native call yields one nonempty list of whole words.
+    assert all(chunk and {len(w) for w in chunk} == {len(root)} for chunk in chunks)
+    return "".join(w + "\n" for chunk in chunks for w in chunk)
 
 
 def roots(n):
@@ -131,7 +132,7 @@ def test_count_mode_equals_the_python_walk_on_every_node_up_to_14(monkeypatch):
     for budget in (1, 2, 3, 7, _kernel._BUDGET):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n, batch in batches.items():
-            assert count(*flat(batch), n) == want[n], (budget, n)
+            assert count(batch, n) == want[n], (budget, n)
 
 
 def test_batch_resumes_after_any_budget(monkeypatch):
@@ -142,7 +143,7 @@ def test_batch_resumes_after_any_budget(monkeypatch):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n in range(2, 21):
             batch = [ones(root) for root in roots(n)]
-            assert count(*flat(batch), n) == [_count_run(a[:], n) for a in batch], (budget, n)
+            assert count(batch, n) == [_count_run(a[:], n) for a in batch], (budget, n)
 
 
 def test_kernel_refuses_what_it_cannot_count():
@@ -156,14 +157,10 @@ def test_kernel_refuses_what_it_cannot_count():
         with pytest.raises(ValueError):
             count(a, n)
         with pytest.raises(ValueError):
-            native().count(*flat([[1, 2], a]), n)
-    # Lengths that do not split the positions would read past the buffer.
-    for lens in ([3], [2, 3], [4, -1], [5, -1]):
-        with pytest.raises(ValueError, match="split"):
-            native().count([1, 2, 3, 4], lens, 6)
+            native().count([[1, 2], a], n)
     for a, n in bad:
         with pytest.raises(ValueError):
-            next(native().lines(a, n, True))
+            next(native().words(a, n, True))
 
 
 def test_kernel_lines_equal_the_python_walk():
@@ -181,9 +178,8 @@ def test_kernel_lists_long_words():
     # start of the Python walk's listing.
     root = "11" + "0" * 198
     for order in Order:
-        chunk = next(native().lines(ones(root), 200, order is Order.LEX))
-        words = chunk.splitlines()
-        assert len(chunk) <= _kernel._CHUNK
+        words = next(native().words(ones(root), 200, order is Order.LEX))
+        assert len(words) * 201 <= _kernel._CHUNK
         assert words == list(islice(_walk(ones(root), 200, order), len(words))), order
 
 
@@ -237,8 +233,8 @@ def test_long_words_count_in_the_kernel(monkeypatch):
         return _count_run(a, n)
 
     monkeypatch.setattr(generate, "_count_run", spy)
-    assert _count(*flat([list(range(1, 64))]), 64) == [3]
-    assert _count(*_classes(64, [(48, 3)])[1:3], 64) == [4095]
+    assert _count([list(range(1, 64))], 64) == [3]
+    assert _count(list(_classes(64, [(48, 3)])[1].values()), 64) == [4095]
     assert calls == []
 
 
@@ -257,9 +253,19 @@ def test_python_fallback_without_the_kernel(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+def test_an_empty_batch_counts_nothing(monkeypatch, compiled):
+    if compiled:
+        native()
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    for n in (2, 21):
+        assert _count([], n) == []
+
+
 def test_listings_come_from_the_kernel(monkeypatch):
-    # Every listing but one charged to an OpCounter splits the kernel's
-    # lines; the Python walk is not entered.
+    # Every listing but one charged to an OpCounter takes the kernel's
+    # words; the Python walk is not entered.
     native()
     want = {order: ["0" * 12, "1" + "0" * 11, *_walk([1, 2], 12, order)]
             for order in Order}
@@ -318,13 +324,13 @@ def test_build_into_a_private_cache(tmp_path, monkeypatch):
     kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     count = _kernel._build().count
-    assert count(*flat([ones("11" + "0" * 19)]), 21) == [COUNTS[21] - 2]
+    assert count([ones("11" + "0" * 19)], 21) == [COUNTS[21] - 2]
     cache = tmp_path / "prefixnormal"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]
     # A second build loads the cached library without compiling again.
     monkeypatch.setattr(shutil, "which", lambda name: "/nonexistent/cc")
-    assert _kernel._build().count(*flat([ones("11" + "0" * 19)]), 21) == [COUNTS[21] - 2]
+    assert _kernel._build().count([ones("11" + "0" * 19)], 21) == [COUNTS[21] - 2]
 
 
 def test_shared_cache_is_refused(tmp_path, monkeypatch):

@@ -18,8 +18,7 @@ import sys
 from itertools import chain, islice
 
 from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
-from .generate import (DEFAULT_GEN_CAP, Order, _chunks, _visit_each, count_pn, generate_all,
-                       iter_all)
+from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all, iter_all
 from .infinite import ScanCapExceeded, _blocks, _check_seed, density_profile, detect_period
 from .ops import _min_flip
 from .words import (
@@ -67,34 +66,28 @@ def _checked_cap(args) -> int:
 
 
 def _emit_words(args, walk, count) -> None:
-    """Print `count()`, or `_write` the words that `walk(visit)` visits in
-    `args.format`, JSON's "count" from `count()` first.  Both callables
-    reject bad arguments before their first word, so a rejected query writes
-    nothing."""
-    if args.count_only:
-        print(count())
-    elif args.format == "plain":
-        _write(walk, "", "", "", "\n", "")
-    elif args.format == "csv":
-        _write(walk, "word\n", "", "", "\n", "")
-    else:
-        # The layout of json.dumps({"count": ..., "words": [...]}).
-        _write(walk, f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n")
-
-
-def _write(walk, head, sep, left, right, end) -> None:
-    """Write the words that `walk(visit)` visits, _BATCH per write: `head`
-    first (alone if the walk visits none), `sep` between words, `left` and
-    `right` around each, the last partial batch when the walk returns, then
-    `end`.
+    """Print `count()`, or write the words that `walk(visit)` visits in
+    `args.format`, _BATCH per write, JSON's "count" from `count()` first.
+    Both callables reject bad arguments before their first word, so a
+    rejected query writes nothing.
 
     The visitor is the `send` of a generator that stores each word in the
     next slot of the batch and writes every full one, so a word costs one
     frame resume and one list store.  Only the normal return writes the
-    partial batch, the first count % _BATCH slots: an exception out of the
-    walk (a closed pipe, Ctrl-C, no memory) leaves it unwritten, and closing
-    the generator then writes nothing.
+    partial batch: an exception out of the walk (a closed pipe, Ctrl-C, no
+    memory) leaves it unwritten, and closing the generator then writes
+    nothing.
     """
+    if args.count_only:
+        print(count())
+        return
+    if args.format == "plain":
+        head, sep, left, right, end = "", "", "", "\n", ""
+    elif args.format == "csv":
+        head, sep, left, right, end = "word\n", "", "", "\n", ""
+    else:
+        # The layout of json.dumps({"count": ..., "words": [...]}).
+        head, sep, left, right, end = f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n"
     write = sys.stdout.write
     join = (right + sep + left).join
     batch = _BATCH
@@ -181,10 +174,11 @@ def cmd_extend(args) -> int:
         print(report.to_json())
         return 0
     # The checked seed, which ends with a 1, then one block 0^k 1 per step,
-    # _BATCH blocks to a chunk.
-    ones = _check_seed(w)
-    blocks = _chunks(islice(_blocks(ones), steps), _BATCH)
-    _write(lambda visit: _visit_each(chain(((w,),), blocks), visit), "", "", "", "", "\n")
+    # _BATCH of them per write; a partial batch goes out only at the end.
+    items = chain((w,), islice(_blocks(_check_seed(w)), steps))
+    for text in iter(lambda: "".join(islice(items, _BATCH)), ""):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
     return 0
 
 

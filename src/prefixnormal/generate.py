@@ -137,12 +137,7 @@ def _tree(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
     if kernel is not None:
         return kernel.words(a, n, order is Order.LEX)
     walk = _walk(a, n, order, counter)
-    return zip(walk) if counter else _chunks(walk, _WALK_CHUNK)
-
-
-def _chunks(words, size: int):
-    """The items of the iterator `words` in lists of `size`, the last one shorter."""
-    return iter(lambda: list(islice(words, size)), [])
+    return zip(walk) if counter else iter(lambda: list(islice(walk, _WALK_CHUNK)), [])
 
 
 def _count(roots: list[list[int]], n: int) -> list[int]:

@@ -111,8 +111,20 @@ def _blocks(ones: list[int]):
 
 
 def stream_prefix(w: str, length: int) -> str:
-    """The first `length` symbols of the infinite minimal extension of w."""
-    return "".join(islice(extend_stream(w), length))
+    """The first `length` (an integer >= 0) symbols of w's infinite minimal extension."""
+    symbols = extend_stream(w)  # checks the seed first
+    return "".join(islice(symbols, _at_least(length, 0, "length")))
+
+
+def _at_least(value, low: int, name: str) -> int:
+    """`value` as an int, once it is an integer >= low; else ValueError."""
+    try:
+        value = index(value)
+    except TypeError:
+        value = low - 1  # not an integer: refused below
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+    return value
 
 
 class ScanCapExceeded(Exception):
@@ -177,12 +189,7 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     `scan_cap` symbols, if that many are read before the certificate.
     A cap that is not an integer >= 1 raises ValueError.
     """
-    try:
-        cap = inf if scan_cap is None else index(scan_cap)
-    except TypeError:
-        cap = 0  # not an integer: refused below
-    if cap < 1:
-        raise ValueError("scan_cap must be an integer >= 1")
+    cap = inf if scan_cap is None else _at_least(scan_cap, 1, "scan_cap")
     ones = _check_seed(w)
     prof = density_profile(w)
     iota, kappa = prof.length, prof.ones

@@ -9,13 +9,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixnormal import (Order, _kernel, cli, critset, extend_min, extend_stream, hamming,
-                          iter_all)
+                          infinite, iter_all)
 from prefixnormal.generate import _visit_each
 
 from helpers import (
@@ -131,11 +132,13 @@ def test_word_output_across_batch_boundaries(batch, monkeypatch):
     ("gen", "-n", 18, "--format", "csv"),
     ("critset", "-n", 18, "-s", 2, "-t", 1, "--format", "plain"),
     ("critset", "-n", 18, "-s", 2, "-t", 1, "--format", "json"),
+    ("extend", "1101001", "--steps", 200000),
 ])
 def test_word_output_streams_in_bounded_memory(argv):
-    # 25,500 words from gen and 3,557 from the class, written a batch at a
-    # time: the peak of traced allocations stays far below what a list of
-    # the words would take.  The compiled walk is loaded first: its one-time
+    # 25,500 words from gen, 3,557 from the class and 200,000 blocks from
+    # extend, written a batch at a time: the peak of traced allocations
+    # stays far below what a list of the words, or the extension's text,
+    # would take.  The compiled walk is loaded first: its one-time
     # build and load is not part of the stream.
     _kernel.load()
     with contextlib.redirect_stdout(_Discard()):
@@ -413,6 +416,25 @@ def test_extend_steps_across_the_write_batch():
                     break
             assert code == 0 and out == "".join(want) + "\n", (seed, k)
             assert out.startswith(seed) and out[len(seed):].count("1") == k
+
+
+@pytest.mark.parametrize("j", [0, cli._BATCH - 2, cli._BATCH - 1, cli._BATCH, 2 * cli._BATCH - 1])
+def test_extend_that_raises_leaves_only_the_full_batches(j, monkeypatch):
+    # The seed and j blocks are taken, then the stream raises: only the
+    # whole batches of cli._BATCH items, the seed first, were written.
+    seed = "1101001"
+    blocks = list(islice(infinite._blocks(infinite._check_seed(seed)), j))
+
+    def failing(ones):
+        yield from blocks
+        raise _Stop
+
+    monkeypatch.setattr(cli, "_blocks", failing)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(_Stop):
+        cli.main(["extend", seed, "--steps", "1000"])
+    items = [seed, *blocks]
+    assert out.getvalue() == "".join(items[:len(items) - len(items) % cli._BATCH]), j
 
 
 def test_extend_detect():

@@ -114,6 +114,17 @@ def test_stream_prefix_fixtures():
     assert stream_prefix(w, len(w)) == w
 
 
+def test_stream_prefix_refuses_a_length_that_is_not_an_integer_at_least_0():
+    for length in (-1, -5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=r"^length must be an integer >= 0$"):
+            stream_prefix("101", length)
+    # The seed is checked first, so its messages stand.
+    for seed, message in (("10", "must end with 1"), ("1011", "not prefix normal")):
+        with pytest.raises(ValueError, match=message):
+            stream_prefix(seed, -1)
+    assert stream_prefix("101", 0) == ""
+
+
 def test_stream_equals_iterated_extension():
     # the closed-form step inside the stream must agree with the full
     # quadratic search, step by step

@@ -346,10 +346,14 @@ def test_shared_cache_is_refused(tmp_path, monkeypatch):
 
 def interrupt(*argv, stdout=subprocess.PIPE, env=None):
     """Start the CLI, in `env` if given, send it SIGINT after a second, and
-    return its exit code, stdout (None when not piped) and stderr."""
+    return its exit code, stdout (None when not piped) and stderr.  The
+    child starts with SIGINT's default action: one that pytest ignores, as
+    in a background job of a non-interactive shell, would be inherited, and
+    Python then installs no KeyboardInterrupt handler."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "prefixnormal", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         time.sleep(1)

@@ -24,11 +24,10 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # other signals only between calls.
 _BUDGET = 1 << 20
 # Bytes of lines per native call of the lister.  A listing holds the
-# buffer, the text decoded from it and the list of its words (about 3.5
-# times the text at n = 18), so this bounds its memory.
+# buffer and the text decoded from it, so this bounds its memory.
 _CHUNK = 1 << 13
 
-Kernel = namedtuple("Kernel", "count words")
+Kernel = namedtuple("Kernel", "count lines")
 
 
 def _cache_dir() -> str:
@@ -141,11 +140,10 @@ def _build():
             if done:
                 return totals
 
-    def words(a: list[int], n: int, lex: bool):
-        """Yield the words of the subtree of the node whose 1s sit at `a`,
-        in the order of generate._walk, one list of str per native call,
-        which writes them as lines "word\\n".  Raises ValueError if `a` is
-        not a node of the tree."""
+    def lines(a: list[int], n: int, lex: bool):
+        """Yield the lines "word\\n" of the subtree of the node whose 1s sit
+        at `a`, in the order of generate._walk, one str per native call.
+        Raises ValueError if `a` is not a node of the tree."""
         root = ints(len(a), a)
         pos, frames, k = state(n)
         # The kernel writes the root's run base here when it enters it.
@@ -161,12 +159,12 @@ def _build():
                 raise ValueError(_NOT_A_NODE)
             if used.value:
                 # Decoded straight from the buffer, with no bytes copy.
-                yield str(view[:used.value], "ascii").splitlines()
+                yield str(view[:used.value], "ascii")
                 used.value = 0
             if done:
                 return
 
-    return Kernel(count, words)
+    return Kernel(count, lines)
 
 
 _NOT_A_NODE = ("the kernel walks only nodes of the tree: two or more strictly "
@@ -175,7 +173,7 @@ _NOT_A_NODE = ("the kernel walks only nodes of the tree: two or more strictly "
 
 @functools.cache
 def load():
-    """The native walk as Kernel(count, words), or None when it cannot be
+    """The native walk as Kernel(count, lines), or None when it cannot be
     built here.
 
     The first call builds and loads the library; later calls return the

@@ -35,8 +35,8 @@ from .words import (
 GEN_CAP_ENV = "PREFIXNORMAL_GEN_CAP"
 ORACLE_CAP_ENV = "PREFIXNORMAL_ORACLE_CAP"
 
-# Words (or extension blocks) per write: one write per word cost more than
-# the walk.
+# Extension blocks per write of `extend --steps`: one write per block cost
+# more than the step.
 _BATCH = 256
 
 # Commands that refuse n above a cap: the cap's name, the environment
@@ -66,49 +66,33 @@ def _checked_cap(args) -> int:
 
 
 def _emit_words(args, walk, count) -> None:
-    """Print `count()`, or write the words that `walk(visit)` visits in
-    `args.format`, _BATCH per write, JSON's "count" from `count()` first.
-    Both callables reject bad arguments before their first word, so a
-    rejected query writes nothing.
-
-    The visitor is the `send` of a generator that stores each word in the
-    next slot of the batch and writes every full one, so a word costs one
-    frame resume and one list store.  Only the normal return writes the
-    partial batch: an exception out of the walk (a closed pipe, Ctrl-C, no
-    memory) leaves it unwritten, and closing the generator then writes
-    nothing.
+    """Print `count()`, or write the text chunks of lines "word\\n" that
+    `walk(visit)` visits in `args.format`, one write per chunk, JSON's
+    "count" from `count()` first.  Both callables reject bad arguments
+    before their first chunk, and the header goes out with the first chunk
+    or after an empty walk, so a rejected query writes nothing.
     """
     if args.count_only:
         print(count())
         return
-    if args.format == "plain":
-        head, sep, left, right, end = "", "", "", "\n", ""
-    elif args.format == "csv":
-        head, sep, left, right, end = "word\n", "", "", "\n", ""
-    else:
+    if args.format == "json":
         # The layout of json.dumps({"count": ..., "words": [...]}).
-        head, sep, left, right, end = f'{{"count": {count()}, "words": [', ", ", '"', '"', "]}\n"
+        head, sep, end = f'{{"count": {count()}, "words": [', ", ", "]}\n"
+
+        def form(chunk):
+            return '"' + chunk[:-1].replace("\n", '", "') + '"'
+    else:
+        head, sep, end, form = "word\n" if args.format == "csv" else "", "", "", str
     write = sys.stdout.write
-    join = (right + sep + left).join
-    batch = _BATCH
-    buf = [""] * batch
+    lead = head
 
-    def batches():
-        lead = head
-        while True:
-            for i in range(batch):
-                buf[i] = yield
-            write(lead + left + join(buf) + right)
-            lead = sep
+    def visit(chunk):
+        nonlocal lead
+        write(lead + form(chunk))
+        lead = sep
 
-    sink = batches()
-    next(sink)
-    count = walk(sink.send)
-    rest = count % batch
-    if not count:
+    if not walk(visit):
         write(head)
-    elif rest:
-        write((head if count < batch else sep) + left + join(buf[:rest]) + right)
     write(end)
 
 
@@ -117,13 +101,14 @@ def _emit_report(report, fmt: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    _emit_words(args, lambda visit: generate_all(args.n, visit, Order(args.order)),
+    _emit_words(args, lambda visit: generate_all(args.n, visit, Order(args.order), lines=True),
                 lambda: count_pn(args.n, cap=args.cap))
     return 0
 
 
 def cmd_critset(args) -> int:
-    _emit_words(args, lambda visit: critset(args.n, args.s, args.t, visit, Order(args.order)),
+    _emit_words(args, lambda visit: critset(args.n, args.s, args.t, visit, Order(args.order),
+                                            lines=True),
                 lambda: critset_count(args.n, args.s, args.t))
     return 0
 

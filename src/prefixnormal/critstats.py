@@ -64,12 +64,14 @@ def _sizes(n: int, classes: list[tuple[int, int]]) -> list[int]:
     return sizes
 
 
-def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
+def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX, *,
+            lines: bool = False) -> int:
     """Visit the prefix normal words of length n with critical prefix 1^s 0^t.
 
     Requires s >= 1 (the all-zero word is the only one with s == 0 and is
     never part of any class here).  Queries with s + t > n are legal and
-    denote the empty set.  Each word reaches `visit` as a str.  Returns the
+    denote the empty set.  Each word reaches `visit` as a str, or as text
+    chunks with `lines=True` (see generate.generate_all).  Returns the
     number of words visited.
     """
     _checked_class(n, s, t)
@@ -83,10 +85,10 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX) -> int:
     # root, one flip from the seed, which comes last.  The root, a flip child
     # of a prefix normal seed, is listed from its positions without
     # re-checking it.  The seed is a chunk of its own.
-    seed = (("1" * s + "0" * t + "1" + "0" * (n - s - t - 1))[:n],)
+    seed = ("1" * s + "0" * t + "1" + "0" * (n - s - t - 1))[:n] + "\n"
     tree = _tree(roots[0], n, order) if roots else ()
     return _visit_each(chain((seed,), tree) if order is Order.LEX else chain(tree, (seed,)),
-                       visit)
+                       visit, lines)
 
 
 def critset_count(n: int, s: int, t: int) -> int:

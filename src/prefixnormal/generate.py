@@ -20,12 +20,12 @@ count builds no words: it adds a run's n - r + 1 nodes in one step and
 enters only the flip children below n.
 
 One C walk (`_kernel`), compiled on first use when a C compiler is present,
-lists a subtree as one list of words per native call and counts a batch of
-subtrees exactly at any n.  The Python walks, `_walk` and `_count_run`, are
-its reference and the path without a compiler; `_walk` is also the one an
-OpCounter is charged on.  A listing travels as chunks, sequences of words
-(`_tree`), which `_visit_each` visits in one loop and the iterators chain,
-so no word resumes a Python frame of its own before the visitor.
+lists a subtree as one text of lines "word\\n" per native call and counts a
+batch of subtrees exactly at any n.  The Python walks, `_walk` and
+`_count_run`, are its reference and the path without a compiler; `_walk` is
+also the one an OpCounter is charged on.  A listing travels as chunks of
+such text (`_tree`): `lines=True` hands them to the visitor whole, and
+otherwise `_visit_each` and the iterators split them into words.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class OpCounter:
 def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
     """Yield each word of the tree rooted at the prefix normal node of
     length n whose two or more 1s sit at the 1-based positions `a`, as a
-    str, in `order` (see the module docstring).
+    line "word\\n", in `order` (see the module docstring).
 
     A run's nodes are base[:q-1] + "1" + base[q:] for r <= q <= n, where
     `base` is its first node with the rightmost 1 cleared.  The counter is
@@ -78,10 +78,10 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
         chars[i - 1] = "1"
     base = "".join(chars)
     # Every run starts at or after the root's r, and base[q:] is all 0s
-    # for q >= r, so a node is base[:q-1] + tails[n-q].
-    tails = ["1" + "0" * j for j in range(n - r + 1)]
+    # for q >= r, so a node's line is base[:q-1] + tails[n-q].
+    tails = ["1" + "0" * j + "\n" for j in range(n - r + 1)]
     if ctr:
-        ctr.add(n)
+        ctr.count += n
     stack: list[tuple[str, int, int, int, int, str]] = []
     push = stack.append
     pop = stack.pop
@@ -89,10 +89,12 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
     while True:
         rest, second, end, reads = _run(a, n)
         if ctr:
-            ctr.add(reads + 3 * (n - r))
-        for q in range(n, end - 1, -1):
-            if ctr and q < n:
-                ctr.add(2)
+            ctr.count += reads + 3 * (n - r)
+        # end <= n: the node at n has no flip child.
+        yield base[: n - 1] + tails[0]
+        for q in range(n - 1, end - 1, -1):
+            if ctr:
+                ctr.count += 2
             yield base[: q - 1] + tails[n - q]
         q = end
         while True:
@@ -106,11 +108,11 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
                 q -= 1
                 word = base[: q - 1] + tails[n - q]
                 if ctr:
-                    ctr.add(2)
+                    ctr.count += 2
                 if lex:
                     yield word
                 if ctr:
-                    ctr.add(1)
+                    ctr.count += 1
                 phi = max(rest, (second or q) + q) - 1
                 if phi < n:
                     push((base, r, rest, second, q, word))
@@ -119,25 +121,25 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
                     base, r = word, phi
                     break
                 # A flip child at n is a single leaf.
-                yield word[:-1] + "1"
+                yield word[:-2] + "1\n"
             if ctr:
-                ctr.add(1)
+                ctr.count += 1
             if not lex:
                 yield word
 
 
 def _tree(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
-    """The words of _walk(a, n, order, counter) as an iterator of chunks:
-    the compiled walk's lists of words when it can be built and no counter
-    is charged, else the Python walk's words, _WALK_CHUNK to a list, or one
-    to a chunk when charged, so that the counter moves word by word."""
+    """The lines of _walk(a, n, order, counter) as an iterator of text
+    chunks: the compiled walk's, one per native call, when it can be built
+    and no counter is charged, else the Python walk's, _WALK_CHUNK lines to
+    a chunk, or one to a chunk when charged, so the counter moves word by word."""
     from . import _kernel
 
     kernel = _kernel.load() if counter is None else None
     if kernel is not None:
-        return kernel.words(a, n, order is Order.LEX)
+        return kernel.lines(a, n, order is Order.LEX)
     walk = _walk(a, n, order, counter)
-    return zip(walk) if counter else iter(lambda: list(islice(walk, _WALK_CHUNK)), [])
+    return walk if counter else iter(lambda: "".join(islice(walk, _WALK_CHUNK)), "")
 
 
 def _count(roots: list[list[int]], n: int) -> list[int]:
@@ -182,23 +184,23 @@ def _count_run(a: list[int], n: int) -> int:
 
 
 def _words(n: int, order: Order, counter: OpCounter | None = None):
-    """The chunks of every listing of length n, once n and `order` are
-    checked: the two head words, one chunk, or one chunk each charged with
-    n reads, then the tree rooted at 110^(n-2) (`_tree`)."""
+    """The text chunks of every listing of length n, once n and `order`
+    are checked: the two head words, one chunk, or one chunk each charged
+    with n reads, then the tree rooted at 110^(n-2) (`_tree`)."""
     _checked_length(n)
     _checked_order(order)
     if n < 2:
         # Words of length <= 1 are emitted without counted work.
-        return iter([("0", "1") if n else ("",)])
-    heads = ("0" * n, "1" + "0" * (n - 1))
-    heads = zip(_charged(heads, counter, n)) if counter else (heads,)
+        return iter(["0\n1\n" if n else "\n"])
+    heads = ("0" * n + "\n", "1" + "0" * (n - 1) + "\n")
+    heads = _charged(heads, counter, n) if counter else ("".join(heads),)
     return chain(heads, _tree([1, 2], n, order, counter))
 
 
-def _charged(words, counter: OpCounter, reads: int):
-    for word in words:
+def _charged(chunks, counter: OpCounter, reads: int):
+    for chunk in chunks:
         counter.add(reads)
-        yield word
+        yield chunk
 
 
 def _checked_order(order: Order) -> Order:
@@ -219,14 +221,19 @@ def _checked_seed(seed: str) -> list[int]:
     return ones
 
 
-def _visit_each(chunks, visit) -> int:
-    """Call `visit` on each word of each chunk in turn and return how many
-    there were; per word the loop only calls `visit`."""
+def _visit_each(chunks, visit, lines: bool = False) -> int:
+    """Call `visit` on each text chunk (`lines`) or on each word of each
+    chunk in turn, and return how many words there were."""
     total = 0
-    for chunk in chunks:
-        for word in chunk:
+    if lines:
+        for chunk in chunks:
+            visit(chunk)
+            total += chunk.count("\n")
+        return total
+    for words in map(str.splitlines, chunks):
+        for word in words:
             visit(word)
-        total += len(chunk)
+        total += len(words)
     return total
 
 
@@ -244,24 +251,28 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
 
 def iter_pn(seed: str, order: Order = Order.LEX):
     """Pull-iterator version of generate_pn: yields each word as a str."""
-    return chain.from_iterable(_tree(_checked_seed(seed), len(seed), _checked_order(order)))
+    chunks = _tree(_checked_seed(seed), len(seed), _checked_order(order))
+    return chain.from_iterable(map(str.splitlines, chunks))
 
 
 def generate_all(n: int, visit, order: Order = Order.LEX, *,
-                 counter: OpCounter | None = None) -> int:
+                 counter: OpCounter | None = None, lines: bool = False) -> int:
     """Visit every prefix normal word of length n; returns how many there are.
 
     The all-zero word and the single-1 word come first, then the tree rooted
     at 110^(n-2) supplies the rest.  LEX output is globally lexicographic;
     GRAY output has all consecutive Hamming distances <= 3 and closes the
     cycle at distance 2 from the last word back to the first.
+
+    With `lines=True` (also in critstats.critset), `visit` receives the same
+    listing as text chunks, runs of whole lines "word\\n", to write unsplit.
     """
-    return _visit_each(_words(n, order, counter), visit)
+    return _visit_each(_words(n, order, counter), visit, lines)
 
 
 def iter_all(n: int, order: Order = Order.LEX):
     """Pull-iterator version of generate_all: yields each word as a str."""
-    return chain.from_iterable(_words(n, order))
+    return chain.from_iterable(map(str.splitlines, _words(n, order)))
 
 
 def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:

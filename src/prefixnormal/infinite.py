@@ -12,6 +12,7 @@ closed form (`extend_stream`); `ops.min_flip` reads the first block, and
 
 from __future__ import annotations
 
+import sys
 from collections import deque, namedtuple
 from itertools import chain, islice
 from math import comb, inf
@@ -111,9 +112,11 @@ def _blocks(ones: list[int]):
 
 
 def stream_prefix(w: str, length: int) -> str:
-    """The first `length` (an integer >= 0) symbols of w's infinite minimal extension."""
+    """The first `length` (0 to sys.maxsize) symbols of w's infinite minimal extension."""
     symbols = extend_stream(w)  # checks the seed first
-    return "".join(islice(symbols, _at_least(length, 0, "length")))
+    if _at_least(length, 0, "length") > sys.maxsize:
+        raise ValueError(f"length must be between 0 and {sys.maxsize}")
+    return "".join(islice(symbols, length))
 
 
 def _at_least(value, low: int, name: str) -> int:

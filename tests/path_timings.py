@@ -16,7 +16,9 @@ the median and quartiles of each tree's runs and the ratio of the medians
 - counter-16: `generate_all(16, ..., counter=OpCounter())`, the charged
   Python walk;
 - generate-pn-20: `generate_pn` on 110^18, the kernel's listing of one
-  subtree.
+  subtree;
+- critset-20-json: `critset -n 20 -s 2 -t 1 --format json` through
+  `cli.main`, the JSON writer and a class listing with its seed.
 
 stdout goes to /dev/null in every path, and each visitor appends to a
 list.  pytest does not collect this file.
@@ -29,7 +31,7 @@ import subprocess
 import sys
 import time
 
-PATHS = ("gen-18-no-kernel", "extend-steps", "counter-16", "generate-pn-20")
+PATHS = ("gen-18-no-kernel", "extend-steps", "counter-16", "generate-pn-20", "critset-20-json")
 
 
 def _calls(path):
@@ -44,6 +46,9 @@ def _calls(path):
                 for k in (1000, 2000000)]
     if path == "counter-16":
         return [lambda n=n: generate_all(n, [].append, counter=OpCounter()) for n in (8, 16)]
+    if path == "critset-20-json":
+        return [lambda n=n: cli.main(["critset", "-n", str(n), "-s", "2", "-t", "1",
+                                      "--format", "json"]) for n in (8, 20)]
     return [lambda n=n: generate_pn("11" + "0" * (n - 2), [].append) for n in (8, 20)]
 
 

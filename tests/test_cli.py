@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import gc
 import io
 import json
 import os
@@ -15,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixnormal import (Order, _kernel, cli, critset, extend_min, extend_stream, hamming,
-                          infinite, iter_all)
+from prefixnormal import (Order, _kernel, cli, critset, extend_min, extend_stream, generate,
+                          hamming, infinite, iter_all)
 from prefixnormal.generate import _visit_each
 
 from helpers import (
@@ -112,19 +111,26 @@ def test_gen_and_critset_output_equals_the_complete_list():
 
 @pytest.mark.parametrize("batch", [1, 2, 3])
 def test_word_output_across_batch_boundaries(batch, monkeypatch):
-    # Word counts that fill whole batches and leave a last partial one
-    # (the class has 13 words), and an empty class: a dropped or repeated
-    # batch changes the bytes.
-    monkeypatch.setattr(cli, "_BATCH", batch)
-    for order in Order:
-        queries = [(("gen", "-n", n), list(iter_all(n, order))) for n in range(10)]
-        queries += [(("critset", "-n", 9, "-s", s, "-t", t), _critset_words(9, s, t, order))
-                    for s, t in ((1, 1), (3, 0))]
-        assert [len(words) for _, words in queries[-2:]] == [13, 0]
-        for query, words in queries:
-            for fmt in ("plain", "csv", "json"):
-                got = run_in_process(*query, "--order", order.value, "--format", fmt)
-                assert got == (0, reference_emit_words(words, fmt)), (batch, query, order, fmt)
+    # Text chunks of `batch` words from the Python walk, and from the
+    # compiled walk's two-line floor up, over word counts that fill whole
+    # chunks and leave a last partial one (the class has 13 words), and an
+    # empty class: a dropped or repeated chunk, or a JSON separator missed
+    # between two chunks, changes the bytes.
+    monkeypatch.setattr(generate, "_WALK_CHUNK", batch)
+    monkeypatch.setattr(_kernel, "_CHUNK", 16 * (batch - 1))
+    for walk in ("compiled", "python"):
+        if walk == "python":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        for order in Order:
+            queries = [(("gen", "-n", n), list(iter_all(n, order))) for n in range(10)]
+            queries += [(("critset", "-n", 9, "-s", s, "-t", t), _critset_words(9, s, t, order))
+                        for s, t in ((1, 1), (3, 0))]
+            assert [len(words) for _, words in queries[-2:]] == [13, 0]
+            for query, words in queries:
+                for fmt in ("plain", "csv", "json"):
+                    got = run_in_process(*query, "--order", order.value, "--format", fmt)
+                    assert got == (0, reference_emit_words(words, fmt)), (
+                        batch, walk, query, order, fmt)
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,10 +139,12 @@ def test_word_output_across_batch_boundaries(batch, monkeypatch):
     ("critset", "-n", 18, "-s", 2, "-t", 1, "--format", "plain"),
     ("critset", "-n", 18, "-s", 2, "-t", 1, "--format", "json"),
     ("extend", "1101001", "--steps", 200000),
+    ("gen", "-n", 18, "--order", "gray", "--format", "json"),
+    ("gen", "-n", 18),
 ])
 def test_word_output_streams_in_bounded_memory(argv):
     # 25,500 words from gen, 3,557 from the class and 200,000 blocks from
-    # extend, written a batch at a time: the peak of traced allocations
+    # extend, written a chunk at a time: the peak of traced allocations
     # stays far below what a list of the words, or the extension's text,
     # would take.  The compiled walk is loaded first: its one-time
     # build and load is not part of the stream.
@@ -199,39 +207,39 @@ class _Stop(Exception):
     pass
 
 
-def _full_batches(words, fmt, total):
-    """What the CLI has written in `fmt` once it has taken `words`: only
-    the whole batches, nothing of the partial one."""
-    k = len(words) - len(words) % cli._BATCH
-    if not k:
+def _full_chunks(words, fmt, total):
+    """What the CLI has written in `fmt` once it has taken the chunks that
+    hold `words`."""
+    if not words:
         return ""
     if fmt == "json":
-        return f'{{"count": {total}, "words": [' + ", ".join(f'"{w}"' for w in words[:k])
-    return reference_emit_words(words[:k], fmt)
+        return f'{{"count": {total}, "words": [' + ", ".join(f'"{w}"' for w in words)
+    return reference_emit_words(words, fmt)
 
 
-# The walk hands over chunks of 100 words: j = 100 ends on a whole chunk,
-# j = 99 and 101 inside one.
-@pytest.mark.parametrize("j", [0, 1, 99, 100, 101, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
+# The walk hands over text chunks of 100 words and raises in place of the
+# chunk that holds word j: j = 100 is the first word of a chunk, j = 99
+# and 101 lie inside one.
+@pytest.mark.parametrize("j", [0, 1, 99, 100, 101, 255, 256, 257])
 def test_a_walk_that_raises_leaves_only_the_full_batches(j):
-    # The partial batch is written on the normal return only: neither the
-    # error nor the collection of the writer afterwards writes more.
+    # Each chunk is written as it is taken: stdout holds exactly the chunks
+    # taken before the error, and nothing of the error's chunk.
     words = list(iter_all(12))
+    k = j - j % 100
     for fmt in ("plain", "csv", "json"):
         def walk(visit):
             def source():
-                for i in range(0, j, 100):
-                    yield words[i:min(i + 100, j)]
+                for i in range(0, k, 100):
+                    yield "".join(w + "\n" for w in words[i:i + 100])
                 raise _Stop
-            return _visit_each(source(), visit)
+            return _visit_each(source(), visit, lines=True)
 
         out = io.StringIO()
         args = argparse.Namespace(count_only=False, format=fmt)
         with contextlib.redirect_stdout(out):
             with pytest.raises(_Stop):
                 cli._emit_words(args, walk, lambda: len(words))
-            gc.collect()
-        assert out.getvalue() == _full_batches(words[:j], fmt, len(words)), (j, fmt)
+        assert out.getvalue() == _full_chunks(words[:k], fmt, len(words)), (j, fmt)
 
 
 def test_critset_counts():

@@ -112,7 +112,7 @@ def test_iter_all_equals_the_python_walk_without_the_kernel(monkeypatch):
         assert list(iter_all(0, order)) == [""]
         assert list(iter_all(1, order)) == ["0", "1"]
         for n in range(2, 13):
-            want = ["0" * n, "1" + "0" * (n - 1), *_walk([1, 2], n, order)]
+            want = ["0" * n, "1" + "0" * (n - 1), *map(str.strip, _walk([1, 2], n, order))]
             assert list(iter_all(n, order)) == want, (n, order)
 
 
@@ -246,14 +246,14 @@ class _Stop(Exception):
     pass
 
 
-# Chunks of 100 words: j = 99 and 100 raise on the last word of the first
-# chunk and on the first word of the second.
-@pytest.mark.parametrize("j", [0, 1, 99, 100, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1])
+# Text chunks of 100 words: j = 99 and 100 raise on the last word of the
+# first chunk and on the first word of the second.
+@pytest.mark.parametrize("j", [0, 1, 99, 100, 255, 256, 257])
 def test_visit_each_reraises_a_visitor_error(j):
     # A visitor that takes j words and raises on the next ends the visits
     # there: the error comes out unchanged, and no further chunk is taken.
     words = list(iter_all(12))
-    chunks = [words[i:i + 100] for i in range(0, len(words), 100)]
+    chunks = ["".join(w + "\n" for w in words[i:i + 100]) for i in range(0, len(words), 100)]
     taken, seen = [], []
 
     def source():
@@ -270,6 +270,43 @@ def test_visit_each_reraises_a_visitor_error(j):
         _visit_each(source(), visit)
     assert seen == words[:j]
     assert taken == chunks[: j // 100 + 1]
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+def test_text_chunks_join_to_the_word_listing(monkeypatch, kernel):
+    # lines=True hands the visitor text chunks that join to the word
+    # listing's lines, and returns the same count, with the compiled walk
+    # and with the Python walk.
+    if kernel:
+        if _kernel.load() is None:
+            pytest.skip("no compiled walk on this machine")
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+
+    def same(listing, *query, order):
+        parts, words = [], []
+        count = listing(*query, parts.append, order, lines=True)
+        assert count == listing(*query, words.append, order) == len(words), query
+        assert "".join(parts) == "".join(w + "\n" for w in words), (query, order)
+        assert all(parts)
+        return words
+
+    for order in Order:
+        for n in range(17):
+            assert same(generate_all, n, order=order) == list(iter_all(n, order))
+        for n in range(13):
+            for s in range(1, n + 2):
+                for t in range(n - s + 2):
+                    same(critset, n, s, t, order=order)
+        # Charged, each chunk is one word, so the counter moves alike.
+        for n in (2, 12, 16):
+            runs = []
+            for lines in (True, False):
+                ctr, marks = OpCounter(), []
+                generate_all(n, lambda _: marks.append(ctr.count), order, counter=ctr,
+                             lines=lines)
+                runs.append((marks, ctr.count))
+            assert runs[0] == runs[1], (n, order)
 
 
 @pytest.mark.parametrize("kernel", [True, False])

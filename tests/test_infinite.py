@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -123,6 +124,14 @@ def test_stream_prefix_refuses_a_length_that_is_not_an_integer_at_least_0():
         with pytest.raises(ValueError, match=message):
             stream_prefix(seed, -1)
     assert stream_prefix("101", 0) == ""
+
+
+def test_stream_prefix_names_its_range_above_maxsize():
+    # No prefix that long can be built; the message names the range, as
+    # `extend --steps` does, not islice's own.
+    for length in (sys.maxsize + 1, 2 ** 100):
+        with pytest.raises(ValueError, match=rf"^length must be between 0 and {sys.maxsize}$"):
+            stream_prefix("101", length)
 
 
 def test_stream_equals_iterated_extension():

@@ -48,14 +48,27 @@ def kernel():
 
 
 def walk_lines(root, order):
-    return "".join(w + "\n" for w in _walk(ones(root), len(root), order))
+    return "".join(_walk(ones(root), len(root), order))
+
+
+def walk_words(a, n, order, k=None):
+    """The first k words (all when k is None) of the Python walk."""
+    return [line[:-1] for line in islice(_walk(a, n, order), k)]
+
+
+def whole_lines(chunk, n):
+    """Whether `chunk` is nonempty text of whole lines "word\\n" of length
+    n, no longer than one native call may write."""
+    lines = chunk.splitlines(keepends=True)
+    return (0 < len(chunk) <= max(_kernel._CHUNK, 2 * (n + 1))
+            and all(len(line) == n + 1 and line[-1] == "\n" for line in lines))
 
 
 def kernel_lines(root, order):
-    chunks = list(native().words(ones(root), len(root), order is Order.LEX))
-    # Each native call yields one nonempty list of whole words.
-    assert all(chunk and {len(w) for w in chunk} == {len(root)} for chunk in chunks)
-    return "".join(w + "\n" for chunk in chunks for w in chunk)
+    chunks = list(native().lines(ones(root), len(root), order is Order.LEX))
+    # Each native call yields one chunk of whole lines.
+    assert all(whole_lines(chunk, len(root)) for chunk in chunks)
+    return "".join(chunks)
 
 
 def roots(n):
@@ -160,7 +173,7 @@ def test_kernel_refuses_what_it_cannot_count():
             native().count([[1, 2], a], n)
     for a, n in bad:
         with pytest.raises(ValueError):
-            next(native().words(a, n, True))
+            next(native().lines(a, n, True))
 
 
 def test_kernel_lines_equal_the_python_walk():
@@ -178,9 +191,10 @@ def test_kernel_lists_long_words():
     # start of the Python walk's listing.
     root = "11" + "0" * 198
     for order in Order:
-        words = next(native().words(ones(root), 200, order is Order.LEX))
-        assert len(words) * 201 <= _kernel._CHUNK
-        assert words == list(islice(_walk(ones(root), 200, order), len(words))), order
+        chunk = next(native().lines(ones(root), 200, order is Order.LEX))
+        assert whole_lines(chunk, 200) and len(chunk) <= _kernel._CHUNK
+        words = chunk.splitlines()
+        assert words == walk_words(ones(root), 200, order, len(words)), order
 
 
 def test_lister_equals_the_walk_below_deep_roots():
@@ -205,7 +219,7 @@ def test_lister_equals_the_walk_below_deep_roots():
         assert is_prefix_normal(root), root
         for order in Order:
             got = list(islice(iter_pn(root, order), 5000))
-            assert got == list(islice(_walk(a, n, order), 5000)), (root, order)
+            assert got == walk_words(a, n, order, 5000), (root, order)
             long += len(got) == 5000
     assert long == 24
 
@@ -267,10 +281,10 @@ def test_listings_come_from_the_kernel(monkeypatch):
     # Every listing but one charged to an OpCounter takes the kernel's
     # words; the Python walk is not entered.
     native()
-    want = {order: ["0" * 12, "1" + "0" * 11, *_walk([1, 2], 12, order)]
+    want = {order: ["0" * 12, "1" + "0" * 11, *walk_words([1, 2], 12, order)]
             for order in Order}
     seed = "1101" + "0" * 8
-    want_pn = {order: list(_walk(ones(seed), 12, order)) for order in Order}
+    want_pn = {order: walk_words(ones(seed), 12, order) for order in Order}
 
     def refuse(*args):
         raise AssertionError("listed by the Python walk")

@@ -13,7 +13,11 @@
  * with min_flip above n is a run tail node.  w holds the run's base, the
  * current node with its rightmost 1 cleared, and each word is written as
  * "word\n" at out + *len.  A step writes at most two lines, and the lister
- * returns before a step when out cannot hold them.
+ * returns before a step when the cap bytes of out cannot hold them (so cap
+ * must hold two, or it returns 0 with nothing written).  A line copies w
+ * in whole blocks of BLOCK bytes, so it reads w and writes out up to
+ * BLOCK - 1 bytes past its n bytes of word: w must have room for
+ * n + BLOCK bytes and out for cap + BLOCK (_kernel.buffers sizes them).
  *
  * The counter writes nothing and counts a run when it creates it: its
  * n - r + 1 nodes and the flip children of those that are leaves at n
@@ -44,10 +48,15 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The line of run base w with 1s at q and j (j == q adds none). */
+#define BLOCK 16
+
+/* The line of run base w with 1s at q and j (j == q adds none).  A copy
+ * of constant size compiles to a load and a store, where memcpy(p, w, n)
+ * is a call that branches on n. */
 static inline char *line(char *p, const char *w, int n, int q, int j)
 {
-    memcpy(p, w, n);
+    for (int i = 0; i < n; i += BLOCK)
+        memcpy(p + i, w + i, BLOCK);
     p[q - 1] = '1';
     p[j - 1] = '1';
     p[n] = '\n';

@@ -23,11 +23,19 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # Steps per native call, about 8 ms of work: Python handles Ctrl-C and
 # other signals only between calls.
 _BUDGET = 1 << 20
-# Bytes of lines per native call of the lister.  A listing holds the
-# buffer and the text decoded from it, so this bounds its memory.
-_CHUNK = 1 << 13
+# Bytes of lines per native call: warm `gen -n 18 --order gray --format json` peaks
+# at 168 kB here and 203 kB at 32 KiB (tracemalloc); test_cli bounds it at 200 kB.
+_CHUNK = 3 << 13
 
 Kernel = namedtuple("Kernel", "count lines")
+
+
+def buffers(n: int):
+    """((run base, output) buffer sizes, cap) of the lister at length n.  Cap,
+    the most bytes of lines a call writes, holds a step's two lines; a line's
+    block copy (BLOCK in _kernel.c) may run 15 bytes past its word."""
+    cap = max(_CHUNK, 2 * (n + 1))
+    return (n + 16, cap + 16), cap
 
 
 def _cache_dir() -> str:
@@ -146,15 +154,12 @@ def _build():
         Raises ValueError if `a` is not a node of the tree."""
         root = ints(len(a), a)
         pos, frames, k = state(n)
-        # The kernel writes the root's run base here when it enters it.
-        word = ctypes.create_string_buffer(n)
-        # A step writes at most two lines.
-        size = max(_CHUNK, 2 * (n + 1))
-        out = ctypes.create_string_buffer(size)
+        sizes, cap = buffers(n)
+        base, out = map(ctypes.create_string_buffer, sizes)
         view = memoryview(out)
         used = ctypes.c_size_t(0)
         while True:
-            done = c_list(n, root, len(a), lex, pos, frames, k, word, out, size, used, _BUDGET)
+            done = c_list(n, root, len(a), lex, pos, frames, k, base, out, cap, used, _BUDGET)
             if done < 0:
                 raise ValueError(_NOT_A_NODE)
             if used.value:

@@ -18,7 +18,9 @@ the median and quartiles of each tree's runs and the ratio of the medians
 - generate-pn-20: `generate_pn` on 110^18, the kernel's listing of one
   subtree;
 - critset-20-json: `critset -n 20 -s 2 -t 1 --format json` through
-  `cli.main`, the JSON writer and a class listing with its seed.
+  `cli.main`, the JSON writer and a class listing with its seed;
+- gen-22-json: `gen -n 22 --format json` through `cli.main`, the JSON
+  writer on the kernel's whole listing, one write per native call.
 
 stdout goes to /dev/null in every path, and each visitor appends to a
 list.  pytest does not collect this file.
@@ -31,7 +33,8 @@ import subprocess
 import sys
 import time
 
-PATHS = ("gen-18-no-kernel", "extend-steps", "counter-16", "generate-pn-20", "critset-20-json")
+PATHS = ("gen-18-no-kernel", "extend-steps", "counter-16", "generate-pn-20", "critset-20-json",
+         "gen-22-json")
 
 
 def _calls(path):
@@ -49,6 +52,8 @@ def _calls(path):
     if path == "critset-20-json":
         return [lambda n=n: cli.main(["critset", "-n", str(n), "-s", "2", "-t", "1",
                                       "--format", "json"]) for n in (8, 20)]
+    if path == "gen-22-json":
+        return [lambda n=n: cli.main(["gen", "-n", str(n), "--format", "json"]) for n in (8, 22)]
     return [lambda n=n: generate_pn("11" + "0" * (n - 2), [].append) for n in (8, 20)]
 
 

@@ -10,7 +10,7 @@ import stat
 import subprocess
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -60,7 +60,7 @@ def whole_lines(chunk, n):
     """Whether `chunk` is nonempty text of whole lines "word\\n" of length
     n, no longer than one native call may write."""
     lines = chunk.splitlines(keepends=True)
-    return (0 < len(chunk) <= max(_kernel._CHUNK, 2 * (n + 1))
+    return (0 < len(chunk) <= _kernel.buffers(n)[1]
             and all(len(line) == n + 1 and line[-1] == "\n" for line in lines))
 
 
@@ -69,6 +69,17 @@ def kernel_lines(root, order):
     # Each native call yields one chunk of whole lines.
     assert all(whole_lines(chunk, len(root)) for chunk in chunks)
     return "".join(chunks)
+
+
+def kernel_words(a, n, order, k=None):
+    """The first k words (all when k is None) of the kernel's listing, each
+    chunk checked as kernel_lines does."""
+    def words(chunk):
+        assert whole_lines(chunk, n)
+        return chunk.splitlines()
+
+    chunks = native().lines(a, n, order is Order.LEX)
+    return list(islice(chain.from_iterable(map(words, chunks)), k))
 
 
 def roots(n):
@@ -195,6 +206,52 @@ def test_kernel_lists_long_words():
         assert whole_lines(chunk, 200) and len(chunk) <= _kernel._CHUNK
         words = chunk.splitlines()
         assert words == walk_words(ones(root), 200, order, len(words)), order
+
+
+@pytest.mark.parametrize("floor", [False, True])
+def test_kernel_lines_across_copy_blocks(monkeypatch, floor):
+    # A line copies its run base in blocks of 16 bytes and may run up to 15
+    # past it: word lengths on either side of multiples of 8, 16, 32 and
+    # 64, at the default chunk and at the two-line floor, where every line
+    # ends near the end of its buffer.  Whole listings up to n = 20, the
+    # first 5,000 words above.
+    if floor:
+        monkeypatch.setattr(_kernel, "_CHUNK", 0)
+    for n in (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200):
+        k = None if n <= 20 else 5000
+        for order in Order:
+            assert kernel_words([1, 2], n, order, k) == walk_words([1, 2], n, order, k), (n, order)
+
+
+def test_kernel_is_clean_under_sanitizers(tmp_path, monkeypatch):
+    # tests/kernel_driver.c lists and counts at n = 2..40 in both orders,
+    # with buffers of exactly the sizes _kernel.buffers gives at the default
+    # chunk and at the floor, built with the address and undefined-behaviour
+    # sanitizers: a block copy past a buffer is reported and fails the run.
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    flags = ["-O2", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=0"}
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    built = subprocess.run([cc, *flags, "-o", str(tmp_path / "probe"), str(probe)],
+                           capture_output=True)
+    if built.returncode or subprocess.run([str(tmp_path / "probe")], env=env).returncode:
+        pytest.skip("no sanitizer runtime")
+    driver = os.path.join(os.path.dirname(__file__), "kernel_driver.c")
+    res = subprocess.run([cc, *flags, "-o", str(tmp_path / "driver"), _kernel._SOURCE, driver],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    cases = []
+    for chunk in (_kernel._CHUNK, 0):
+        monkeypatch.setattr(_kernel, "_CHUNK", chunk)
+        for n in range(2, 41):
+            (wsize, osize), cap = _kernel.buffers(n)
+            cases += [f"{n} {lex} {wsize} {cap} {osize}\n" for lex in (0, 1)]
+    res = subprocess.run([str(tmp_path / "driver")], input="".join(cases), env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert (res.returncode, res.stdout, res.stderr) == (0, f"{len(cases)} cases\n", ""), res.stderr
 
 
 def test_lister_equals_the_walk_below_deep_roots():

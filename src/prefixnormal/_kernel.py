@@ -150,7 +150,8 @@ def _build():
 
     def lines(a: list[int], n: int, lex: bool):
         """Yield the lines "word\\n" of the subtree of the node whose 1s sit
-        at `a`, in the order of generate._walk, one str per native call.
+        at `a`, in the order of generate._walk, one str of whole lines of
+        n + 1 characters per native call (see generate's docstring).
         Raises ValueError if `a` is not a node of the tree."""
         root = ints(len(a), a)
         pos, frames, k = state(n)

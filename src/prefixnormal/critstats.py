@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import chain, islice
 
 from .generate import DEFAULT_GEN_CAP, Order, _checked_order, _count, _tree, _visit_each
-from .words import _checked_length
+from .words import _checked_length, _integer
 
 
 def _classes(n: int, classes: list[tuple[int, int]]):
@@ -46,13 +46,15 @@ def _classes(n: int, classes: list[tuple[int, int]]):
     return sizes, roots
 
 
-def _checked_class(n: int, s: int, t: int) -> None:
-    """Raise ValueError for a query (n, s, t) that denotes no class."""
-    _checked_length(n)
+def _checked_class(n: int, s: int, t: int) -> tuple[int, int, int]:
+    """(n, s, t) as ints: ValueError for a query that is not three integers
+    or denotes no class."""
+    n, s, t = _checked_length(n), _integer(s, "s"), _integer(t, "t")
     if s < 1:
         raise ValueError("s must be >= 1; only the all-zero word has s == 0")
     if t < 0:
         raise ValueError("t must be >= 0")
+    return n, s, t
 
 
 def _sizes(n: int, classes: list[tuple[int, int]]) -> list[int]:
@@ -74,7 +76,7 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX, *,
     chunks with `lines=True` (see generate.generate_all).  Returns the
     number of words visited.
     """
-    _checked_class(n, s, t)
+    n, s, t = _checked_class(n, s, t)
     _checked_order(order)
     (size,), roots = _classes(n, [(s, t)])
     if not size:
@@ -93,7 +95,7 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX, *,
 
 def critset_count(n: int, s: int, t: int) -> int:
     """Size of the class with critical prefix 1^s 0^t among length-n words."""
-    _checked_class(n, s, t)
+    n, s, t = _checked_class(n, s, t)
     return _sizes(n, [(s, t)])[0]
 
 
@@ -140,7 +142,8 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1,
     more than it saves.
     """
     cap = DEFAULT_GEN_CAP if cap is None else cap
-    _checked_length(n, cap)
+    n = _checked_length(n, cap)
+    s_max, t_max, jobs = _integer(s_max, "s_max"), _integer(t_max, "t_max"), _integer(jobs, "jobs")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     if t_max < 0:
@@ -194,7 +197,7 @@ def critical_prefix_histogram(n: int, cap: int | None = None) -> Histogram:
     (its critical prefix is the whole word).  Refuses n above `cap`
     (DEFAULT_GEN_CAP when None).
     """
-    _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
+    n = _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
     # Diagonal d holds the d classes s = 1..d, so each bin sums one slice.
     # Bin n, which also holds the all-zero word, comes first.
     sizes = iter(_sizes(n, [(s, d - s) for d in range(1, n + 1) for s in range(1, d + 1)]))

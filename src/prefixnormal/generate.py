@@ -25,7 +25,9 @@ batch of subtrees exactly at any n.  The Python walks, `_walk` and
 `_count_run`, are its reference and the path without a compiler; `_walk` is
 also the one an OpCounter is charged on.  A listing travels as chunks of
 such text (`_tree`): `lines=True` hands them to the visitor whole, and
-otherwise `_visit_each` and the iterators split them into words.
+otherwise `_visit_each` and the iterators split them into words.  Every
+line, from either walk, a head word or a class seed, is a word of length n
+and its "\\n": n + 1 characters.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def _words(n: int, order: Order, counter: OpCounter | None = None):
     """The text chunks of every listing of length n, once n and `order`
     are checked: the two head words, one chunk, or one chunk each charged
     with n reads, then the tree rooted at 110^(n-2) (`_tree`)."""
-    _checked_length(n)
+    n = _checked_length(n)
     _checked_order(order)
     if n < 2:
         # Words of length <= 1 are emitted without counted work.
@@ -223,18 +225,18 @@ def _checked_seed(seed: str) -> list[int]:
 
 def _visit_each(chunks, visit, lines: bool = False) -> int:
     """Call `visit` on each text chunk (`lines`) or on each word of each
-    chunk in turn, and return how many words there were."""
-    total = 0
-    if lines:
-        for chunk in chunks:
+    chunk in turn; return how many words there were, the chunks' length
+    over their first line's (all are n + 1, see the module docstring)."""
+    size = width = 0
+    for chunk in chunks:
+        if lines:
             visit(chunk)
-            total += chunk.count("\n")
-        return total
-    for words in map(str.splitlines, chunks):
-        for word in words:
-            visit(word)
-        total += len(words)
-    return total
+        else:
+            for word in chunk.splitlines():
+                visit(word)
+        size += len(chunk)
+        width = width or chunk.find("\n") + 1
+    return size // width if width else 0
 
 
 def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
@@ -265,7 +267,8 @@ def generate_all(n: int, visit, order: Order = Order.LEX, *,
     cycle at distance 2 from the last word back to the first.
 
     With `lines=True` (also in critstats.critset), `visit` receives the same
-    listing as text chunks, runs of whole lines "word\\n", to write unsplit.
+    listing as text chunks, runs of whole lines "word\\n" of n + 1
+    characters each (see the module docstring), to write unsplit.
     """
     return _visit_each(_words(n, order, counter), visit, lines)
 
@@ -277,7 +280,7 @@ def iter_all(n: int, order: Order = Order.LEX):
 
 def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
     """Number of prefix normal words of length n (refuses n above `cap`)."""
-    _checked_length(n, cap)
+    n = _checked_length(n, cap)
     if n < 2:
         return n + 1
     # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).

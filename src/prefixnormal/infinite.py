@@ -16,9 +16,9 @@ import sys
 from collections import deque, namedtuple
 from itertools import chain, islice
 from math import comb, inf
-from operator import add, index
+from operator import add
 
-from .words import _ones, _pn_ones, check_word, is_prefix_normal
+from .words import _integer, _ones, _pn_ones, check_word, is_prefix_normal
 
 
 class DensityProfile(namedtuple("DensityProfile", "density length ones")):
@@ -114,20 +114,10 @@ def _blocks(ones: list[int]):
 def stream_prefix(w: str, length: int) -> str:
     """The first `length` (0 to sys.maxsize) symbols of w's infinite minimal extension."""
     symbols = extend_stream(w)  # checks the seed first
-    if _at_least(length, 0, "length") > sys.maxsize:
+    length = _integer(length, "length", 0)
+    if length > sys.maxsize:
         raise ValueError(f"length must be between 0 and {sys.maxsize}")
     return "".join(islice(symbols, length))
-
-
-def _at_least(value, low: int, name: str) -> int:
-    """`value` as an int, once it is an integer >= low; else ValueError."""
-    try:
-        value = index(value)
-    except TypeError:
-        value = low - 1  # not an integer: refused below
-    if value < low:
-        raise ValueError(f"{name} must be an integer >= {low}")
-    return value
 
 
 class ScanCapExceeded(Exception):
@@ -192,7 +182,7 @@ def detect_period(w: str, scan_cap: int | None = None) -> ExtensionReport:
     `scan_cap` symbols, if that many are read before the certificate.
     A cap that is not an integer >= 1 raises ValueError.
     """
-    cap = inf if scan_cap is None else _at_least(scan_cap, 1, "scan_cap")
+    cap = inf if scan_cap is None else _integer(scan_cap, "scan_cap", 1)
     ones = _check_seed(w)
     prof = density_profile(w)
     iota, kappa = prof.length, prof.ones

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import sub
+from operator import index, sub
 
 DEFAULT_ORACLE_CAP = 20
 # The longest word length: the compiled walk holds lengths in C ints.
@@ -28,14 +28,30 @@ def check_word(w: str) -> str:
     return w
 
 
-def _checked_length(n: int, cap: int | None = None, kind: str = "enumeration") -> None:
-    """Raise ValueError if n > `cap` (None for no cap), then unless 0 <= n <= _MAX_LENGTH."""
+def _integer(value, name: str, low: int | None = None) -> int:
+    """`value` as an int, once it is an integer (>= `low` when given), else
+    ValueError naming it: a float would pass one walk and break the other."""
+    try:
+        value = index(value)
+    except TypeError:
+        pass
+    else:
+        if low is None or value >= low:
+            return value
+    raise ValueError(f"{name} must be an integer" + ("" if low is None else f" >= {low}"))
+
+
+def _checked_length(n: int, cap: int | None = None, kind: str = "enumeration") -> int:
+    """n as an int: ValueError unless it is an integer, if n > `cap` (None
+    for no cap), then unless 0 <= n <= _MAX_LENGTH."""
+    n = _integer(n, "n")
     if cap is not None and n > cap:
         raise ValueError(f"n={n} exceeds the {kind} cap ({cap})")
     if n < 0:
         raise ValueError("word length must be nonnegative")
     if n > _MAX_LENGTH:
         raise ValueError(f"n={n} exceeds the longest word length ({_MAX_LENGTH})")
+    return n
 
 
 def _ones(w: str) -> list[int]:
@@ -122,14 +138,15 @@ def critical_prefix(w: str) -> CritPrefix:
     return CritPrefix(s, t)
 
 
-@lru_cache(maxsize=32)
+# typed: oracle_enumerate(2.0) must not return the cached listing of n = 2.
+@lru_cache(maxsize=32, typed=True)
 def oracle_enumerate(n: int, cap: int = DEFAULT_ORACLE_CAP) -> tuple[str, ...]:
     """All prefix normal words of length n, in lexicographic order.
 
     Brute force: filters all 2**n binary words through is_prefix_normal.
     Refuses n above `cap` so a typo cannot trigger an exponential blowup.
     """
-    _checked_length(n, cap, "oracle")
+    n = _checked_length(n, cap, "oracle")
     if n == 0:
         return ("",)
     fmt = f"0{n}b"

@@ -1,4 +1,4 @@
-"""Byte-identity gate for the CLI: run a fixed set of 51,473 argv through
+"""Byte-identity gate for the CLI: run a fixed set of 51,485 argv through
 `cli.main` in this process and write one line per argv: the argv, the exit
 code, the SHA-256 of stdout and stderr as a JSON string.
 
@@ -103,6 +103,17 @@ def argvs():
             w = format(i, f"0{n}b")
             yield ("check", w)
             yield ("extend", w)
+    # Arguments the commands refuse, each with one line on stderr: steps
+    # below 0 or past the largest index, scan caps below 1 or without
+    # --detect, and table bounds outside 1..40 and 0..40; then a class
+    # past n, which is empty.
+    for extra in (("--steps", -1), ("--steps", 2**63), ("--detect", "--scan-cap", 0),
+                  ("--detect", "--scan-cap", -5), ("--scan-cap", 3)):
+        yield ("extend", "101", *extra)
+    for bound in (("--s-max", 0), ("--s-max", -1), ("--s-max", 41), ("--s-max", 600),
+                  ("--t-max", -1), ("--t-max", 41)):
+        yield ("table", "-n", 5, *bound)
+    yield ("critset", "-n", 5, "-s", 1, "-t", 99)
 
 
 def main(argv):

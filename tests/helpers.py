@@ -197,6 +197,13 @@ def reference_phi_scan(buf, r: int, n: int) -> tuple[int, int]:
     return min(r + longest + 1, n + 1), reads
 
 
+def lines_of_width(chunk: str, n: int) -> bool:
+    """Whether `chunk` is nonempty text of whole lines "word\\n" of n + 1
+    characters each, the only text generate._visit_each counts right."""
+    lines = chunk.splitlines(keepends=True)
+    return bool(lines) and all(len(line) == n + 1 and line[-1] == "\n" for line in lines)
+
+
 def reference_emit_words(words: list[str], fmt: str) -> str:
     """The CLI's word output in `fmt`, built from the complete list of words."""
     if fmt == "plain":

@@ -14,6 +14,7 @@ from prefixnormal import (
     critical_prefix,
     critset,
     flip,
+    generate,
     generate_all,
     generate_pn,
     hamming,
@@ -22,10 +23,11 @@ from prefixnormal import (
     min_flip,
     oracle_enumerate,
 )
+from prefixnormal.critstats import _classes
 from prefixnormal.generate import _count, _count_run, _visit_each, _walk
 
-from helpers import (dfs_listing, pn_def_set, reference_inorder, reference_postorder,
-                     run_in_process)
+from helpers import (dfs_listing, lines_of_width, pn_def_set, reference_inorder,
+                     reference_postorder, run_in_process)
 
 GRAY_SUBTREE_8 = [
     "11000001", "11000011", "11000010", "11000101", "11000110", "11000100",
@@ -307,6 +309,75 @@ def test_text_chunks_join_to_the_word_listing(monkeypatch, kernel):
                              lines=lines)
                 runs.append((marks, ctr.count))
             assert runs[0] == runs[1], (n, order)
+
+
+def test_python_walk_chunks_are_lines_of_width_n_plus_1(monkeypatch):
+    # _visit_each counts a listing by its length over its first line's.
+    # Uncharged, the Python walk's chunks hold _WALK_CHUNK lines, 1 to 3
+    # here, so that chunks end on every line; charged, each holds one.
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for order in Order:
+        for n in range(2, 11):
+            for root in (a for a in ([1, 2], [1, 2, 4], [1, 2, 3, 6]) if a[-1] <= n):
+                want = "".join(_walk(root, n, order))
+                for size in (1, 2, 3):
+                    monkeypatch.setattr(generate, "_WALK_CHUNK", size)
+                    chunks = list(generate._tree(root, n, order))
+                    assert all(lines_of_width(c, n) for c in chunks), (root, size)
+                    assert "".join(chunks) == want
+                chunks = list(generate._tree(root, n, order, OpCounter()))
+                assert all(lines_of_width(c, n) and c.count("\n") == 1 for c in chunks)
+                assert "".join(chunks) == want
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+def test_every_chunk_source_yields_lines_of_width_n_plus_1(monkeypatch, kernel):
+    # The head words and the n < 2 listings are built by hand, a class
+    # seed is a chunk of its own, and generate_pn lists one subtree: each
+    # must be whole lines of n + 1 characters, charged or not.
+    if kernel:
+        if _kernel.load() is None:
+            pytest.skip("no compiled walk on this machine")
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+
+    def fixed(chunks, n):
+        chunks = list(chunks)
+        assert chunks and all(lines_of_width(c, n) for c in chunks), n
+        return "".join(chunks)
+
+    for order in Order:
+        for n in range(4):
+            listing = fixed(generate._words(n, order), n)
+            assert sorted(listing.splitlines()) == list(oracle_enumerate(n))
+            assert fixed(generate._words(n, order, OpCounter()), n) == fixed(
+                generate._words(n, order), n)
+        # Every class at n <= 10: singletons, classes with a flip-subtree
+        # root, and empty ones.
+        roots = set()
+        for n in range(1, 11):
+            for s in range(1, n + 1):
+                for t in range(n - s + 1):
+                    parts = []
+                    if critset(n, s, t, parts.append, order, lines=True):
+                        fixed(parts, n)
+                        roots.add(bool(_classes(n, [(s, t)])[1]))
+        assert roots == {False, True}
+
+    real_tree, seen = generate._tree, []
+
+    def spy(*args):
+        chunks = list(real_tree(*args))
+        seen.extend(chunks)
+        return iter(chunks)
+
+    monkeypatch.setattr(generate, "_tree", spy)
+    for seed in ("11", "110100", "1101001000", "11000000000000", "1" * 9, "1010010001000000"):
+        for order in Order:
+            seen.clear()
+            words = []
+            assert generate_pn(seed, words.append, order) == len(words)
+            assert fixed(seen, len(seed)) == "".join(w + "\n" for w in words)
 
 
 @pytest.mark.parametrize("kernel", [True, False])

@@ -21,7 +21,7 @@ from prefixnormal.critstats import _classes
 from prefixnormal.generate import _count, _count_run, _walk
 from prefixnormal.ops import _min_flip, _run
 
-from helpers import reference_class_root, run_in_process
+from helpers import lines_of_width, reference_class_root, run_in_process
 
 # count_pn(n) for n = 0 .. 21 (OEIS A194850).
 COUNTS = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185,
@@ -59,9 +59,7 @@ def walk_words(a, n, order, k=None):
 def whole_lines(chunk, n):
     """Whether `chunk` is nonempty text of whole lines "word\\n" of length
     n, no longer than one native call may write."""
-    lines = chunk.splitlines(keepends=True)
-    return (0 < len(chunk) <= _kernel.buffers(n)[1]
-            and all(len(line) == n + 1 and line[-1] == "\n" for line in lines))
+    return len(chunk) <= _kernel.buffers(n)[1] and lines_of_width(chunk, n)
 
 
 def kernel_lines(root, order):

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
@@ -172,6 +175,63 @@ def test_oracle_enumerate_cap_refusal():
         oracle_enumerate(6, 5)
     with pytest.raises(ValueError, match="^word length must be nonnegative$"):
         oracle_enumerate(-1)
+
+
+# Calls each integer argument of the listing and counting entry points
+# with non-integers, with the compiled walk or (argv[1] == "python") the
+# Python walks, and prints [argument, call, outcome] for each as JSON.
+_NON_INTEGER_PROBE = """
+import json, sys
+from prefixnormal import (_kernel, count_pn, critical_prefix_histogram, critset, critset_count,
+                          critset_table, generate_all, iter_all)
+
+if sys.argv[1] == "python":
+    _kernel.load = lambda: None
+calls = [
+    ("n", "count_pn(x)", lambda x: count_pn(x)),
+    ("n", "iter_all(x)", lambda x: list(iter_all(x))),
+    ("n", "generate_all(x)", lambda x: generate_all(x, print)),
+    ("n", "critset(x, 2, 1)", lambda x: critset(x, 2, 1, print)),
+    ("s", "critset(10, x, 1)", lambda x: critset(10, x, 1, print)),
+    ("t", "critset(10, 2, x)", lambda x: critset(10, 2, x, print)),
+    ("n", "critset_count(x, 2, 1)", lambda x: critset_count(x, 2, 1)),
+    ("s", "critset_count(10, x, 1)", lambda x: critset_count(10, x, 1)),
+    ("t", "critset_count(10, 2, x)", lambda x: critset_count(10, 2, x)),
+    ("n", "critset_table(x, 2, 2)", lambda x: critset_table(x, 2, 2)),
+    ("s_max", "critset_table(5, x, 2)", lambda x: critset_table(5, x, 2)),
+    ("t_max", "critset_table(5, 2, x)", lambda x: critset_table(5, 2, x)),
+    ("jobs", "critset_table(5, 2, 2, jobs=x)", lambda x: critset_table(5, 2, 2, jobs=x)),
+    ("n", "critical_prefix_histogram(x)", lambda x: critical_prefix_histogram(x)),
+]
+out = []
+for name, call, f in calls:
+    for x in (2.0, 2.5, "3", None):
+        try:
+            f(x)
+            outcome = "returned"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        out.append([name, f"{call} x={x!r}", outcome])
+print(json.dumps(out))
+"""
+
+
+def test_both_walks_refuse_the_same_non_integer_arguments():
+    # A float or a str once passed the Python walk's checks and broke the
+    # kernel's (count_pn(2.5) == 3.5 in Python, a TypeError in C), and
+    # critset_count(10, 2, 2.5) never returned in Python, so each walk runs
+    # in a child process with a timeout.
+    runs = [json.loads(subprocess.run([sys.executable, "-c", _NON_INTEGER_PROBE, walk],
+                                      capture_output=True, text=True, check=True,
+                                      timeout=30).stdout)
+            for walk in ("kernel", "python")]
+    assert runs[0] == runs[1]
+    for name, call, outcome in runs[0]:
+        assert outcome == f"ValueError: {name} must be an integer", call
+    # The oracle's cache tells 2.0 from 2.
+    assert oracle_enumerate(2) == ("00", "10", "11")
+    with pytest.raises(ValueError, match="^n must be an integer$"):
+        oracle_enumerate(2.0)
 
 
 def test_hamming():

@@ -17,7 +17,6 @@ from .critstats import (
     critset_table,
 )
 from .generate import (
-    DEFAULT_GEN_CAP,
     OpCounter,
     Order,
     count_pn,
@@ -38,6 +37,7 @@ from .infinite import (
 )
 from .ops import bubble, flip, min_flip
 from .words import (
+    DEFAULT_GEN_CAP,
     DEFAULT_ORACLE_CAP,
     CritPrefix,
     check_word,

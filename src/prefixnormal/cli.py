@@ -18,10 +18,11 @@ import sys
 from itertools import chain, islice
 
 from .critstats import critical_prefix_histogram, critset, critset_count, critset_table
-from .generate import DEFAULT_GEN_CAP, Order, count_pn, generate_all, iter_all
+from .generate import Order, count_pn, generate_all, iter_all
 from .infinite import ScanCapExceeded, _blocks, _check_seed, density_profile, detect_period
 from .ops import _min_flip
 from .words import (
+    DEFAULT_GEN_CAP,
     DEFAULT_ORACLE_CAP,
     _checked_length,
     _ones,
@@ -32,9 +33,6 @@ from .words import (
     oracle_enumerate,
 )
 
-GEN_CAP_ENV = "PREFIXNORMAL_GEN_CAP"
-ORACLE_CAP_ENV = "PREFIXNORMAL_ORACLE_CAP"
-
 # Extension blocks per write of `extend --steps`: one write per block cost
 # more than the step.
 _BATCH = 256
@@ -42,8 +40,8 @@ _BATCH = 256
 # Commands that refuse n above a cap: the cap's name, the environment
 # variable that sets it, and its default.
 _CAPS = {
-    "generation": (GEN_CAP_ENV, DEFAULT_GEN_CAP),
-    "oracle": (ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP),
+    "generation": ("PREFIXNORMAL_GEN_CAP", DEFAULT_GEN_CAP),
+    "oracle": ("PREFIXNORMAL_ORACLE_CAP", DEFAULT_ORACLE_CAP),
 }
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, islice
 
-from .generate import DEFAULT_GEN_CAP, Order, _checked_order, _count, _tree, _visit_each
-from .words import _checked_length, _integer
+from .generate import Order, _checked_order, _count, _tree, _visit_each
+from .words import DEFAULT_GEN_CAP, _checked_length, _integer
 
 
 def _classes(n: int, classes: list[tuple[int, int]]):
@@ -151,7 +151,8 @@ def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     # Every cell past n is empty, but the table holds s_max * (t_max + 1)
-    # of them; this bounds its memory.
+    # of them; this bounds its memory.  `_checked_length` has refused a cap
+    # that is not an integer.
     limit = max(cap, DEFAULT_GEN_CAP)
     for name, bound in (("s_max", s_max), ("t_max", t_max)):
         if bound > limit:

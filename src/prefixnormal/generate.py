@@ -36,9 +36,8 @@ from enum import Enum
 from itertools import chain, islice
 
 from .ops import _run
-from .words import _checked_length, _ones, _pn_ones, check_word
+from .words import DEFAULT_GEN_CAP, _checked_length, _ones, _pn_ones, check_word
 
-DEFAULT_GEN_CAP = 40
 # Words per chunk of the uncharged Python walk.
 _WALK_CHUNK = 256
 
@@ -278,9 +277,10 @@ def iter_all(n: int, order: Order = Order.LEX):
     return chain.from_iterable(map(str.splitlines, _words(n, order)))
 
 
-def count_pn(n: int, cap: int = DEFAULT_GEN_CAP) -> int:
-    """Number of prefix normal words of length n (refuses n above `cap`)."""
-    n = _checked_length(n, cap)
+def count_pn(n: int, cap: int | None = None) -> int:
+    """Number of prefix normal words of length n (refuses n above `cap`,
+    DEFAULT_GEN_CAP when None)."""
+    n = _checked_length(n, DEFAULT_GEN_CAP if cap is None else cap)
     if n < 2:
         return n + 1
     # 0^n and 10^(n-1), then the tree rooted at 110^(n-2).

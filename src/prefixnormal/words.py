@@ -14,6 +14,9 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import index, sub
 
+# The largest n listed or counted when no cap is given: the walks' work
+# grows about 1.87x per symbol, the brute-force oracle's 2x.
+DEFAULT_GEN_CAP = 40
 DEFAULT_ORACLE_CAP = 20
 # The longest word length: the compiled walk holds lengths in C ints.
 _MAX_LENGTH = 2**31 - 1
@@ -41,11 +44,11 @@ def _integer(value, name: str, low: int | None = None) -> int:
     raise ValueError(f"{name} must be an integer" + ("" if low is None else f" >= {low}"))
 
 
-def _checked_length(n: int, cap: int | None = None, kind: str = "enumeration") -> int:
-    """n as an int: ValueError unless it is an integer, if n > `cap` (None
-    for no cap), then unless 0 <= n <= _MAX_LENGTH."""
+def _checked_length(n: int, cap: int | None = None, kind: str = "generation") -> int:
+    """n as an int: ValueError unless n and `cap` (None for no cap) are
+    integers, if n > cap, then unless 0 <= n <= _MAX_LENGTH."""
     n = _integer(n, "n")
-    if cap is not None and n > cap:
+    if cap is not None and n > (cap := _integer(cap, "cap")):
         raise ValueError(f"n={n} exceeds the {kind} cap ({cap})")
     if n < 0:
         raise ValueError("word length must be nonnegative")
@@ -140,13 +143,14 @@ def critical_prefix(w: str) -> CritPrefix:
 
 # typed: oracle_enumerate(2.0) must not return the cached listing of n = 2.
 @lru_cache(maxsize=32, typed=True)
-def oracle_enumerate(n: int, cap: int = DEFAULT_ORACLE_CAP) -> tuple[str, ...]:
+def oracle_enumerate(n: int, cap: int | None = None) -> tuple[str, ...]:
     """All prefix normal words of length n, in lexicographic order.
 
     Brute force: filters all 2**n binary words through is_prefix_normal.
-    Refuses n above `cap` so a typo cannot trigger an exponential blowup.
+    Refuses n above `cap` (DEFAULT_ORACLE_CAP when None) so a typo cannot
+    trigger an exponential blowup.
     """
-    n = _checked_length(n, cap, "oracle")
+    n = _checked_length(n, DEFAULT_ORACLE_CAP if cap is None else cap, "oracle")
     if n == 0:
         return ("",)
     fmt = f"0{n}b"

@@ -13,7 +13,6 @@ from math import comb
 from operator import add
 
 from prefixnormal import (
-    DEFAULT_ORACLE_CAP,
     ExtensionReport,
     ScanCapExceeded,
     bubble,
@@ -264,10 +263,9 @@ def verify_densest(w: str, n: int, cap: int | None = None) -> bool:
     _check_seed(w)
     if n < len(w):
         raise ValueError("n must be at least the seed length")
-    limit = DEFAULT_ORACLE_CAP if cap is None else cap
     ext = stream_prefix(w, n)
     pv = prefix_counts(ext)
-    for z in oracle_enumerate(n, limit):
+    for z in oracle_enumerate(n, cap):
         if z.startswith(w):
             pz = prefix_counts(z)
             if any(pv[i] < pz[i] for i in range(1, n + 1)):

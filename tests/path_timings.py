@@ -57,6 +57,13 @@ def _calls(path):
     return [lambda n=n: generate_pn("11" + "0" * (n - 2), [].append) for n in (8, 20)]
 
 
+def quartiles(values):
+    """The inclusive (q1, median, q3) of `values`; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def child(path):
     warm, full = _calls(path)
     with open(os.devnull, "w") as null:
@@ -98,7 +105,7 @@ def main(argv):
                 runs[src].append(timed(src, path))
         cells = []
         for src in (args.old, args.new):
-            q1, median, q3 = statistics.quantiles(runs[src], n=4, method="inclusive")
+            q1, median, q3 = quartiles(runs[src])
             cells.append(f"{median:.4f} [{q1:.4f}, {q3:.4f}]")
         ratio = statistics.median(runs[args.new]) / statistics.median(runs[args.old])
         print(f"{path}\t{cells[0]}\t{cells[1]}\t{ratio:.3f}", flush=True)

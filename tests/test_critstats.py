@@ -198,9 +198,9 @@ def test_table_and_histogram_equal_the_classes_counted_one_by_one(compiled, monk
 
 
 def test_table_cap():
-    with pytest.raises(ValueError, match=r"n=41 exceeds the enumeration cap \(40\)"):
+    with pytest.raises(ValueError, match=r"n=41 exceeds the generation cap \(40\)"):
         critset_table(41, 1, 1)
-    with pytest.raises(ValueError, match=r"n=9 exceeds the enumeration cap \(8\)"):
+    with pytest.raises(ValueError, match=r"n=9 exceeds the generation cap \(8\)"):
         critset_table(9, 1, 1, cap=8)
     assert critset_table(41, 1, 1, cap=41).cells == {(1, 0): 0, (1, 1): critset_count(41, 1, 1)}
 

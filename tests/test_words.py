@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixnormal import (
+    DEFAULT_GEN_CAP,
     CritPrefix,
     cli,
     critical_prefix,
@@ -179,11 +180,13 @@ def test_oracle_enumerate_cap_refusal():
 
 # Calls each integer argument of the listing and counting entry points
 # with non-integers, with the compiled walk or (argv[1] == "python") the
-# Python walks, and prints [argument, call, outcome] for each as JSON.
+# Python walks, and prints [argument, call, outcome] for each as JSON; then
+# the two calls whose cap of None must be the default cap, with "default"
+# for the argument.
 _NON_INTEGER_PROBE = """
 import json, sys
 from prefixnormal import (_kernel, count_pn, critical_prefix_histogram, critset, critset_count,
-                          critset_table, generate_all, iter_all)
+                          critset_table, generate_all, iter_all, oracle_enumerate)
 
 if sys.argv[1] == "python":
     _kernel.load = lambda: None
@@ -202,16 +205,25 @@ calls = [
     ("t_max", "critset_table(5, 2, x)", lambda x: critset_table(5, 2, x)),
     ("jobs", "critset_table(5, 2, 2, jobs=x)", lambda x: critset_table(5, 2, 2, jobs=x)),
     ("n", "critical_prefix_histogram(x)", lambda x: critical_prefix_histogram(x)),
+    ("cap", "count_pn(5, cap=x)", lambda x: count_pn(5, cap=x)),
+    ("cap", "critset_table(5, 2, 2, cap=x)", lambda x: critset_table(5, 2, 2, cap=x)),
+    ("cap", "critical_prefix_histogram(5, cap=x)", lambda x: critical_prefix_histogram(5, cap=x)),
+    ("cap", "oracle_enumerate(5, x)", lambda x: oracle_enumerate(5, x)),
 ]
-out = []
-for name, call, f in calls:
-    for x in (2.0, 2.5, "3", None):
-        try:
-            f(x)
-            outcome = "returned"
-        except Exception as exc:
-            outcome = f"{type(exc).__name__}: {exc}"
-        out.append([name, f"{call} x={x!r}", outcome])
+
+
+def outcome(f, x):
+    try:
+        f(x)
+        return "returned"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+out = [[name, f"{call} x={x!r}", outcome(f, x)]
+       for name, call, f in calls for x in (2.0, 2.5, "3", None)]
+out += [["default", call, outcome(eval, call)]
+        for call in ("count_pn(41, cap=None)", "oracle_enumerate(21, None)")]
 print(json.dumps(out))
 """
 
@@ -219,15 +231,28 @@ print(json.dumps(out))
 def test_both_walks_refuse_the_same_non_integer_arguments():
     # A float or a str once passed the Python walk's checks and broke the
     # kernel's (count_pn(2.5) == 3.5 in Python, a TypeError in C), and
-    # critset_count(10, 2, 2.5) never returned in Python, so each walk runs
-    # in a child process with a timeout.
+    # critset_count(10, 2, 2.5) never returned in Python; a cap of None once
+    # meant no cap in count_pn and oracle_enumerate, which then counted at
+    # n = 41 or filtered 2**21 words.  So each walk runs in a child process
+    # with a timeout.
     runs = [json.loads(subprocess.run([sys.executable, "-c", _NON_INTEGER_PROBE, walk],
                                       capture_output=True, text=True, check=True,
                                       timeout=30).stdout)
             for walk in ("kernel", "python")]
     assert runs[0] == runs[1]
+    defaults = {"count_pn(41, cap=None)": "n=41 exceeds the generation cap (40)",
+                "oracle_enumerate(21, None)": "n=21 exceeds the oracle cap (20)"}
     for name, call, outcome in runs[0]:
-        assert outcome == f"ValueError: {name} must be an integer", call
+        if name == "default":
+            assert outcome == f"ValueError: {defaults.pop(call)}", call
+        elif name == "cap" and call.endswith("x=None"):
+            # A cap of None is the entry point's default cap.
+            assert outcome == "returned", call
+        else:
+            assert outcome == f"ValueError: {name} must be an integer", call
+    assert not defaults
+    # The generation cap is defined in words and kept under its older names.
+    assert DEFAULT_GEN_CAP == generate.DEFAULT_GEN_CAP == words_module.DEFAULT_GEN_CAP == 40
     # The oracle's cache tells 2.0 from 2.
     assert oracle_enumerate(2) == ("00", "10", "11")
     with pytest.raises(ValueError, match="^n must be an integer$"):

@@ -117,7 +117,7 @@ def _build():
 
     def count(roots: list[list[int]], n: int) -> list[int]:
         """Words in the subtree of each root, a list of the positions of
-        its 1s, as generate._count_run counts them, exact at any n.
+        its 1s: as many as generate._walk lists, exact at any n.
 
         The roots are packed for the kernel as their positions back to
         back and how many each has.  One native call counts them one after

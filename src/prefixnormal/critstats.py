@@ -2,14 +2,14 @@
 
 The words of length n whose critical prefix is exactly 1^s 0^t form one seed
 word plus one flip-subtree of the generation tree, so they can be listed
-without touching the rest of the language, and counted by the generator's
-counting walk without building a single word.  These classes partition
-every nonzero word, so class sizes are the only counting path: the (s, t)
-table lists them, and the histogram of critical prefix lengths folds them
-along the diagonals s + t, with the all-zero word added to bin n.  Every
-entry point reads its class roots in closed form from (s, t) (`_classes`):
-`critset` lists a seed and its root's subtree, and a count, of one class or
-of a table or histogram, is one `_count` batch in the calling process.
+and counted without touching the rest of the language.  These classes
+partition every nonzero word, so class sizes are the only counting path:
+the (s, t) table lists them, and the histogram of critical prefix lengths
+folds them along the diagonals s + t, with the all-zero word added to bin
+n.  Every entry point reads its class roots in closed form from (s, t)
+(`_classes`): `critset` lists a seed and its root's subtree, and a count,
+of one class or of a table or histogram, is one `_count` batch in the
+calling process.
 """
 
 from __future__ import annotations

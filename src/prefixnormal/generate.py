@@ -15,19 +15,18 @@ child, and min_flip at each.  The nodes past end are listed first, leaf
 first, in both orders; the walk then climbs the run downward and lists each
 flip node before (LEX) or after (GRAY) its flip child's subtree, whose run
 starts from the flip node.  A flip child at n is a single leaf.  The paused
-runs sit on an explicit stack, one frame per 1 added, so any depth fits.  A
-count builds no words: it adds a run's n - r + 1 nodes in one step and
-enters only the flip children below n.
+runs sit on an explicit stack, one frame per 1 added, so any depth fits.
 
 One C walk (`_kernel`), compiled on first use when a C compiler is present,
 lists a subtree as one text of lines "word\\n" per native call and counts a
-batch of subtrees exactly at any n.  The Python walks, `_walk` and
-`_count_run`, are its reference and the path without a compiler; `_walk` is
-also the one an OpCounter is charged on.  A listing travels as chunks of
-such text (`_tree`): `lines=True` hands them to the visitor whole, and
-otherwise `_visit_each` and the iterators split them into words.  Every
-line, from either walk, a head word or a class seed, is a word of length n
-and its "\\n": n + 1 characters.
+batch of subtrees exactly at any n, building no words (see `_kernel.c`).
+The one Python walk, `_walk`, is its reference and the path without a
+compiler, where a count is the number of lines it lists; it is also the
+walk an OpCounter is charged on.  A listing travels as chunks of such text
+(`_tree`): `lines=True` hands them to the visitor whole, and otherwise
+`_visit_each` and the iterators split them into words.  Every line, from
+either walk, a head word or a class seed, is a word of length n and its
+"\\n": n + 1 characters.
 """
 
 from __future__ import annotations
@@ -146,42 +145,13 @@ def _tree(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
 def _count(roots: list[list[int]], n: int) -> list[int]:
     """Words in the tree rooted at each of `roots`, the positions of the 1s
     of prefix normal nodes with at least two 1s: in one batch of the
-    compiled walk when it can be built, else by `_count_run` on a copy."""
+    compiled walk when it can be built, else the lines `_walk` lists."""
     from . import _kernel
 
     kernel = _kernel.load()
     if kernel is None:
-        return [_count_run(a[:], n) for a in roots]
+        return [sum(1 for _ in _walk(a, n, Order.LEX)) for a in roots]
     return kernel.count(roots, n)
-
-
-def _count_run(a: list[int], n: int) -> int:
-    """Words in the subtree of the node whose 1s sit at the positions `a`,
-    counted a bubble run at a time as the module docstring says.  It moves
-    a's last entry in place."""
-    stack: list[tuple[int, int, int, int]] = []
-    push, pop = stack.append, stack.pop
-    total, r = 0, a[-1]
-    while True:
-        rest, second, q, _ = _run(a, n)
-        total += n - r + 1
-        while True:
-            if q == r:
-                # The run is done: resume its parent's run below the flip node.
-                if not stack:
-                    return total
-                rest, second, r, q = pop()
-                a.pop()
-            else:
-                q -= 1
-                phi = max(rest, (second or q) + q) - 1
-                if phi < n:
-                    push((rest, second, r, q))
-                    a[-1] = q
-                    a.append(phi)
-                    r = phi
-                    break
-                total += 1
 
 
 def _words(n: int, order: Order, counter: OpCounter | None = None):

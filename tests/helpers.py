@@ -26,6 +26,7 @@ from prefixnormal import (
     prefix_counts,
     stream_prefix,
 )
+from prefixnormal.generate import Order, _walk
 from prefixnormal.infinite import _check_seed
 
 _INT64_MAX = 2**63 - 1
@@ -42,6 +43,13 @@ def pn_def_set(w: str) -> set[str]:
         for v in oracle_enumerate(n)
         if v[: r - 1] == w[: r - 1] and "1" in v[r - 1 :]
     }
+
+
+def walk_count(a: list[int], n: int) -> int:
+    """Words in the subtree of the node of length n whose 1s sit at the
+    positions `a`: the lines the Python walk lists, whose words the tests
+    check against the brute-force oracle, with no counting shortcut."""
+    return sum(1 for _ in _walk(a, n, Order.LEX))
 
 
 def reference_inorder(w: str) -> list[str]:

@@ -12,6 +12,8 @@ the median and quartiles of each tree's runs and the ratio of the medians
 
 - gen-18-no-kernel: `gen -n 18` through `cli.main`, with `_kernel.load`
   patched to return None, so the Python walk lists every word;
+- count-22-no-kernel: `count_pn(22)`, with `_kernel.load` patched as in
+  gen-18-no-kernel, so the count runs in Python;
 - extend-steps: `extend 1101001 --steps 2000000` through `cli.main`;
 - counter-16: `generate_all(16, ..., counter=OpCounter())`, the charged
   Python walk;
@@ -33,17 +35,20 @@ import subprocess
 import sys
 import time
 
-PATHS = ("gen-18-no-kernel", "extend-steps", "counter-16", "generate-pn-20", "critset-20-json",
-         "gen-22-json")
+PATHS = ("gen-18-no-kernel", "count-22-no-kernel", "extend-steps", "counter-16", "generate-pn-20",
+         "critset-20-json", "gen-22-json")
 
 
 def _calls(path):
     """The path's call at a small size (the warm-up) and at its full size."""
-    from prefixnormal import OpCounter, _kernel, cli, generate_all, generate_pn
+    from prefixnormal import OpCounter, _kernel, cli, count_pn, generate_all, generate_pn
 
     if path == "gen-18-no-kernel":
         _kernel.load = lambda: None
         return [lambda n=n: cli.main(["gen", "-n", str(n)]) for n in (8, 18)]
+    if path == "count-22-no-kernel":
+        _kernel.load = lambda: None
+        return [lambda n=n: count_pn(n) for n in (8, 22)]
     if path == "extend-steps":
         return [lambda k=k: cli.main(["extend", "1101001", "--steps", str(k)])
                 for k in (1000, 2000000)]

@@ -564,20 +564,28 @@ def test_lengths_past_c_ints_exit_2(n, kernel, monkeypatch):
             2, "", f"error: n={n} exceeds the longest word length (2147483647)\n"), cmd
 
 
-def test_out_of_memory_exits_2():
+@pytest.mark.parametrize("kernel", [True, False])
+def test_out_of_memory_exits_2(tmp_path, kernel):
     # A length under the C-int limit can still need more memory than the
     # process may take: the compiled count holds 24 bytes per symbol, about
-    # 7 GB here.  The child runs under a 1 GiB address-space limit, so the
-    # allocation fails at once; it printed a MemoryError traceback and
-    # exited 1.  Without a compiler the Python count would run instead.
-    if shutil.which("cc") is None:
+    # 7 GB here.  Without a compiler (no cc on PATH, an empty cache) the
+    # count lists its words in Python, and the first one's list of n
+    # entries needs 2.4 GB.  The child runs under a 1 GiB address-space
+    # limit, so the allocation fails at once; it printed a MemoryError
+    # traceback and exited 1.
+    env = None
+    if not kernel:
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        env = {**os.environ, "PATH": str(empty), "XDG_CACHE_HOME": str(tmp_path)}
+    elif shutil.which("cc") is None:
         pytest.skip("no C compiler")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     res = subprocess.run(CMD + ["gen", "--count-only", "-n", "300000000", "--cap", "2147483647"],
-                         capture_output=True, text=True, preexec_fn=limit, timeout=120)
+                         capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
     assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
 
 

@@ -24,10 +24,10 @@ from prefixnormal import (
     oracle_enumerate,
 )
 from prefixnormal.critstats import _classes
-from prefixnormal.generate import _count, _count_run, _visit_each, _walk
+from prefixnormal.generate import _count, _visit_each, _walk
 
 from helpers import (dfs_listing, lines_of_width, pn_def_set, reference_inorder,
-                     reference_postorder, run_in_process)
+                     reference_postorder, run_in_process, walk_count)
 
 GRAY_SUBTREE_8 = [
     "11000001", "11000011", "11000010", "11000101", "11000110", "11000100",
@@ -429,15 +429,19 @@ def test_count_pn():
         count_pn(41)
 
 
-def test_count_matches_the_walk():
+@pytest.mark.parametrize("kernel", [True, False])
+def test_count_matches_the_walk(monkeypatch, kernel):
     # From every root, not only 110...0 and the class roots; the roots of
-    # one length are counted in one batch.
+    # one length are counted in one batch, by the compiled walk where it
+    # can be built and by listing in Python without it.
+    if not kernel:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
     for n in range(2, 15):
         seeds = [w for w in oracle_enumerate(n) if w.count("1") >= 2]
         roots = [[i for i, ch in enumerate(w, 1) if ch == "1"] for w in seeds]
         counts = _count(roots, n)
         assert counts == [sum(1 for _ in iter_pn(w)) for w in seeds], n
-        assert counts == [_count_run(a, n) for a in roots], n
+        assert counts == [walk_count(a, n) for a in roots], n
 
 
 def test_counter_monotone_and_positive():

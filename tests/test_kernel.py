@@ -1,4 +1,4 @@
-"""The compiled walk against the Python walks, in both of its modes
+"""The compiled walk against the Python walk, in both of its modes
 (listing and counting), the listings that go through it, and the Python
 fallback when it is missing."""
 
@@ -18,10 +18,10 @@ from prefixnormal import (OpCounter, Order, _kernel, count_pn, critset_count, cr
                           generate, generate_all, generate_pn, iter_all, iter_pn,
                           is_prefix_normal, oracle_enumerate)
 from prefixnormal.critstats import _classes
-from prefixnormal.generate import _count, _count_run, _walk
+from prefixnormal.generate import _count, _walk
 from prefixnormal.ops import _min_flip, _run
 
-from helpers import lines_of_width, reference_class_root, run_in_process
+from helpers import lines_of_width, reference_class_root, run_in_process, walk_count
 
 # count_pn(n) for n = 0 .. 21 (OEIS A194850).
 COUNTS = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185,
@@ -101,7 +101,7 @@ def test_kernel_equals_the_python_walk_on_every_class_root_up_to_20():
     count = kernel()
     for n in range(2, 21):
         for root in roots(n):
-            assert count(ones(root), n) == _count_run(ones(root), n), root
+            assert count(ones(root), n) == walk_count(ones(root), n), root
 
 
 def test_kernel_counts_long_words_exactly():
@@ -114,7 +114,7 @@ def test_kernel_counts_long_words_exactly():
             for t in range(n - s + 1):
                 root = reference_class_root(n, s, t)[1]
                 if root:
-                    assert count(ones(root), n) == _count_run(ones(root), n), root
+                    assert count(ones(root), n) == walk_count(ones(root), n), root
                     checked += 1
     assert checked == 315
 
@@ -135,8 +135,8 @@ def test_kernel_resumes_after_any_budget(monkeypatch):
         for n in range(2, 11):
             for w in oracle_enumerate(n):
                 if w.count("1") >= 2:
-                    assert count(ones(w), n) == _count_run(ones(w), n), (budget, w)
-        assert count(ones(long_root), 64) == _count_run(ones(long_root), 64) == 4095
+                    assert count(ones(w), n) == walk_count(ones(w), n), (budget, w)
+        assert count(ones(long_root), 64) == walk_count(ones(long_root), 64) == 4095
 
 
 def test_count_mode_equals_the_python_walk_on_every_node_up_to_14(monkeypatch):
@@ -146,7 +146,7 @@ def test_count_mode_equals_the_python_walk_on_every_node_up_to_14(monkeypatch):
     count = native().count
     batches = {n: [ones(w) for w in oracle_enumerate(n) if w.count("1") >= 2]
                for n in range(2, 15)}
-    want = {n: [_count_run(a[:], n) for a in batch] for n, batch in batches.items()}
+    want = {n: [walk_count(a, n) for a in batch] for n, batch in batches.items()}
     # Roots with two 1s (no second), and runs whose rest is n + 1 (every
     # flip child a leaf at n).
     assert [1, 2] in batches[14]
@@ -165,7 +165,7 @@ def test_batch_resumes_after_any_budget(monkeypatch):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n in range(2, 21):
             batch = [ones(root) for root in roots(n)]
-            assert count(batch, n) == [_count_run(a[:], n) for a in batch], (budget, n)
+            assert count(batch, n) == [walk_count(a, n) for a in batch], (budget, n)
 
 
 def test_kernel_refuses_what_it_cannot_count():
@@ -297,11 +297,11 @@ def test_long_words_count_in_the_kernel(monkeypatch):
     native()
     calls = []
 
-    def spy(a, n):
+    def spy(a, n, *rest):
         calls.append(n)
-        return _count_run(a, n)
+        return _walk(a, n, *rest)
 
-    monkeypatch.setattr(generate, "_count_run", spy)
+    monkeypatch.setattr(generate, "_walk", spy)
     assert _count([list(range(1, 64))], 64) == [3]
     assert _count(list(_classes(64, [(48, 3)])[1].values()), 64) == [4095]
     assert calls == []
@@ -310,12 +310,12 @@ def test_long_words_count_in_the_kernel(monkeypatch):
 def test_python_fallback_without_the_kernel(monkeypatch):
     calls = []
 
-    def spy(a, n):
+    def spy(a, n, *rest):
         calls.append(n)
-        return _count_run(a, n)
+        return _walk(a, n, *rest)
 
     monkeypatch.setattr(_kernel, "load", lambda: None)
-    monkeypatch.setattr(generate, "_count_run", spy)
+    monkeypatch.setattr(generate, "_walk", spy)
     assert [count_pn(n) for n in range(22)] == COUNTS
     assert critset_table(32, 1, 3).cells == CELLS_N32
     assert critset_count(32, 7, 22) == 4

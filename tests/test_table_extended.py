@@ -1,9 +1,10 @@
 """The complete 7 x 32 critical-prefix class matrix at n=32.
 
 With the compiled counting kernel it takes under a second and runs by
-default.  Without the kernel it is skipped, because the serial Python walk
-takes almost two minutes (109 s measured once, Python 3.11, 2 CPUs); set
-PREFIXNORMAL_EXTENDED=1 to run it on the Python walk anyway.
+default.  Without the kernel it is skipped, because the Python walk lists
+every word of the matrix, about two minutes (121 s measured once, Python
+3.11, 2 CPUs); set PREFIXNORMAL_EXTENDED=1 to run it on the Python walk
+anyway.
 """
 
 import os

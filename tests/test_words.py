@@ -180,7 +180,7 @@ def test_oracle_enumerate_cap_refusal():
 
 # Calls each integer argument of the listing and counting entry points
 # with non-integers, with the compiled walk or (argv[1] == "python") the
-# Python walks, and prints [argument, call, outcome] for each as JSON; then
+# Python walk, and prints [argument, call, outcome] for each as JSON; then
 # the two calls whose cap of None must be the default cap, with "default"
 # for the argument.
 _NON_INTEGER_PROBE = """

@@ -1,12 +1,5 @@
-"""Prefix normal binary words: testing, generation, statistics, extensions.
-
-A binary word is prefix normal when no factor contains more 1s than the
-prefix of the same length.  This package provides the quadratic reference
-test, a tree-based generator that lists all prefix normal words of a given
-length in lexicographic or Gray-code order, enumeration restricted to a
-fixed critical prefix, and the minimal-extension engine for infinite words
-with certified ultimate periodicity.
-"""
+"""Prefix normal binary words: testing (`words`), generation (`generate`),
+critical-prefix classes (`critstats`) and infinite extensions (`infinite`)."""
 
 from .critstats import (
     CountsTable,

@@ -23,8 +23,10 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # Steps per native call, about 8 ms of work: Python handles Ctrl-C and
 # other signals only between calls.
 _BUDGET = 1 << 20
-# Bytes of lines per native call: warm `gen -n 18 --order gray --format json` peaks
-# at 168 kB here and 203 kB at 32 KiB (tracemalloc); test_cli bounds it at 200 kB.
+# Bytes of lines per chunk of either walk (`buffers`): warm `gen -n 18 --order gray
+# --format json` peaks at 168 kB here and 203 kB at 32 KiB (tracemalloc), and a
+# plain `gen -n 18` from the Python walk, which holds a chunk's lines as it joins
+# them, at 176 kB; test_cli bounds both at 200 kB.
 _CHUNK = 3 << 13
 
 Kernel = namedtuple("Kernel", "count lines")
@@ -32,8 +34,9 @@ Kernel = namedtuple("Kernel", "count lines")
 
 def buffers(n: int):
     """((run base, output) buffer sizes, cap) of the lister at length n.  Cap,
-    the most bytes of lines a call writes, holds a step's two lines; a line's
-    block copy (BLOCK in _kernel.c) may run 15 bytes past its word."""
+    the most bytes of lines in a chunk of either walk, holds a step's two
+    lines; a line's block copy (BLOCK in _kernel.c) may run 15 bytes past
+    its word."""
     cap = max(_CHUNK, 2 * (n + 1))
     return (n + 16, cap + 16), cap
 
@@ -117,15 +120,8 @@ def _build():
 
     def count(roots: list[list[int]], n: int) -> list[int]:
         """Words in the subtree of each root, a list of the positions of
-        its 1s: as many as generate._walk lists, exact at any n.
-
-        The roots are packed for the kernel as their positions back to
-        back and how many each has.  One native call counts them one after
-        another and stops after about _BUDGET steps in all, inside a root
-        or not; each of its 64-bit partial counts holds at most
-        4 * _BUDGET * n, and the partials add up here in Python ints.
-        Raises ValueError if a root is not a node of the tree.
-        """
+        its 1s, exact at any n: pn_count's partials (see _kernel.c) added
+        up in Python ints.  Raises ValueError if a root is not a node."""
         # Extended a root at a time: the histogram's 162 roots at n = 21
         # pack in about 35 us, against 50 us through chain.from_iterable
         # (2 CPUs, Python 3.11).

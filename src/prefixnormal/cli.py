@@ -133,10 +133,9 @@ def cmd_check(args) -> int:
     report: dict = {"is_prefix_normal": pn, "r": ones[-1] if ones else None}
     if pn and ones:
         report["phi"] = _min_flip(ones, len(w))
-    report["critical_prefix"] = {"s": cp.s, "t": cp.t}
-    report["delta"] = f"{prof.density.numerator}/{prof.density.denominator}"
-    report["iota"] = prof.length
-    report["kappa"] = prof.ones
+    report.update(critical_prefix={"s": cp.s, "t": cp.t},
+                  delta=f"{prof.density.numerator}/{prof.density.denominator}",
+                  iota=prof.length, kappa=prof.ones)
     import json
 
     print(json.dumps(report))

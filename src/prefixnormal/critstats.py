@@ -1,16 +1,6 @@
-"""Enumeration and statistics of prefix normal words by critical prefix.
-
-The words of length n whose critical prefix is exactly 1^s 0^t form one seed
-word plus one flip-subtree of the generation tree, so they can be listed
-and counted without touching the rest of the language.  These classes
-partition every nonzero word, so class sizes are the only counting path:
-the (s, t) table lists them, and the histogram of critical prefix lengths
-folds them along the diagonals s + t, with the all-zero word added to bin
-n.  Every entry point reads its class roots in closed form from (s, t)
-(`_classes`): `critset` lists a seed and its root's subtree, and a count,
-of one class or of a table or histogram, is one `_count` batch in the
-calling process.
-"""
+"""Prefix normal words by critical prefix 1^s 0^t: the classes partition the
+nonzero words, each a seed and at most one flip-subtree, whose root
+`_classes` reads off (s, t), so the table and the histogram add up sizes."""
 
 from __future__ import annotations
 
@@ -28,10 +18,11 @@ def _classes(n: int, classes: list[tuple[int, int]]):
     the 1-based positions of the 1s of the seed's flip child, whose
     flip-subtree holds every other word, when it has one.
 
-    The seed 1^s 0^t 1 0^(n-s-t-1) has its 1s at 1..s and s+t+1, which
-    ops._run pairs to min_flip 2t + 3 when s == 1 (the one pair a_2 + a_2)
-    and s + t + 2 otherwise (a_2 + a_k beats each inner pair
-    x + (s + 3 - x)).  With t == 0 and symbols left over, the next one
+    The seed 1^s 0^t 1 0^(n-s-t-1), cut to n, is prefix normal: a factor
+    that reaches the lone 1 from the leading run spans the t zeros.  Its 1s
+    at 1..s and s+t+1 pair in ops._run to min_flip 2t + 3 when s == 1 (the
+    one pair a_2 + a_2) and s + t + 2 otherwise (a_2 + a_k beats each inner
+    pair x + (s + 3 - x)).  With t == 0 and symbols left over, the next one
     would be a 1 and the leading 1-run longer than s, so the class is empty.
     """
     sizes, roots = [], {}
@@ -73,20 +64,18 @@ def critset(n: int, s: int, t: int, visit, order: Order = Order.LEX, *,
     Requires s >= 1 (the all-zero word is the only one with s == 0 and is
     never part of any class here).  Queries with s + t > n are legal and
     denote the empty set.  Each word reaches `visit` as a str, or as text
-    chunks with `lines=True` (see generate.generate_all).  Returns the
-    number of words visited.
+    chunks with `lines=True` (see generate).  Returns the number of words
+    visited.
     """
     n, s, t = _checked_class(n, s, t)
     _checked_order(order)
     (size,), roots = _classes(n, [(s, t)])
     if not size:
         return 0
-    # The seed 1^s 0^t 1 0^(n-s-t-1), cut to n, is prefix normal: a factor
-    # that reaches the lone 1 from the leading run spans the t zeros.  LEX
-    # lists it before its flip subtree; post-order ends the subtree on its
-    # root, one flip from the seed, which comes last.  The root, a flip child
-    # of a prefix normal seed, is listed from its positions without
-    # re-checking it.  The seed is a chunk of its own.
+    # LEX lists the seed (`_classes`) before its flip subtree; post-order
+    # ends the subtree on its root, one flip from the seed, which comes
+    # last.  The root, a flip child of a prefix normal seed, is listed from
+    # its positions without re-checking it.  The seed is a chunk of its own.
     seed = ("1" * s + "0" * t + "1" + "0" * (n - s - t - 1))[:n] + "\n"
     tree = _tree(roots[0], n, order) if roots else ()
     return _visit_each(chain((seed,), tree) if order is Order.LEX else chain(tree, (seed,)),
@@ -132,15 +121,10 @@ class CountsTable(namedtuple("CountsTable", "n s_values t_values cells")):
 
 def critset_table(n: int, s_max: int, t_max: int, *, jobs: int = 1,
                   cap: int | None = None) -> CountsTable:
-    """Fill the (s, t) count matrix for s in 1..s_max, t in 0..t_max
-    (refuses n above `cap`, DEFAULT_GEN_CAP when None, and s_max or t_max
-    above the larger of `cap` and DEFAULT_GEN_CAP).
-
-    Every cell is counted in the calling process, all of them in one batch.
-    `jobs` is accepted for compatibility and must be >= 1; it starts no
-    workers, because with the compiled counting kernel a process pool costs
-    more than it saves.
-    """
+    """Fill the (s, t) count matrix for s in 1..s_max, t in 0..t_max, all
+    cells in one batch (`jobs` must be >= 1 and starts no workers).
+    Refuses n above `cap` (DEFAULT_GEN_CAP when None), and s_max or t_max
+    above the larger of `cap` and DEFAULT_GEN_CAP."""
     cap = DEFAULT_GEN_CAP if cap is None else cap
     n = _checked_length(n, cap)
     s_max, t_max, jobs = _integer(s_max, "s_max"), _integer(t_max, "t_max"), _integer(jobs, "jobs")

@@ -6,7 +6,8 @@ right (bubble), its right child writes a new 1 at the first legal position
 (flip at min_flip).  An in-order walk lists the words in increasing
 lexicographic order (LEX); a post-order walk lists them so that neighbours
 differ in at most 3 positions (GRAY).  The full listings put 0^n and
-10^(n-1) in front of that tree.
+10^(n-1) in front of that tree; a full GRAY listing then ends at distance
+2 from its first word.
 
 Both walks go a bubble run at a time: the left spine from a node whose
 rightmost 1 is at r, along which that 1 slides to n.  One pass over the 1s
@@ -36,9 +37,6 @@ from itertools import chain, islice
 
 from .ops import _run
 from .words import DEFAULT_GEN_CAP, _checked_length, _ones, _pn_ones, check_word
-
-# Words per chunk of the uncharged Python walk.
-_WALK_CHUNK = 256
 
 
 class Order(Enum):
@@ -131,15 +129,17 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
 def _tree(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
     """The lines of _walk(a, n, order, counter) as an iterator of text
     chunks: the compiled walk's, one per native call, when it can be built
-    and no counter is charged, else the Python walk's, _WALK_CHUNK lines to
-    a chunk, or one to a chunk when charged, so the counter moves word by word."""
+    and no counter is charged, else the Python walk's, as many lines as the
+    lister's cap (`_kernel.buffers`) holds to a chunk, or one to a chunk
+    when charged, so the counter moves word by word."""
     from . import _kernel
 
     kernel = _kernel.load() if counter is None else None
     if kernel is not None:
         return kernel.lines(a, n, order is Order.LEX)
     walk = _walk(a, n, order, counter)
-    return walk if counter else iter(lambda: "".join(islice(walk, _WALK_CHUNK)), "")
+    size = _kernel.buffers(n)[1] // (n + 1)
+    return walk if counter else iter(lambda: "".join(islice(walk, size)), "")
 
 
 def _count(roots: list[list[int]], n: int) -> list[int]:
@@ -205,18 +205,15 @@ def _visit_each(chunks, visit, lines: bool = False) -> int:
                 visit(word)
         size += len(chunk)
         width = width or chunk.find("\n") + 1
+        # Dropped before the next chunk is built: one chunk alive at a time.
+        del chunk
     return size // width if width else 0
 
 
 def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
-    """Visit every prefix normal word that agrees with `seed` before its
-    rightmost 1 and has at least one 1 from that position on.
-
-    Order.LEX visits in increasing lexicographic order; Order.GRAY visits so
-    that consecutive words differ in at most 3 positions, ending on `seed`
-    itself.  The visitor receives each word as a str.  Returns the visit
-    count.
-    """
+    """Visit, each as a str in `order`, the prefix normal words that agree
+    with `seed` before its rightmost 1 and have a 1 from there on: the tree
+    rooted at `seed`, which GRAY visits last.  Returns the visit count."""
     return _visit_each(_tree(_checked_seed(seed), len(seed), _checked_order(order)), visit)
 
 
@@ -228,17 +225,9 @@ def iter_pn(seed: str, order: Order = Order.LEX):
 
 def generate_all(n: int, visit, order: Order = Order.LEX, *,
                  counter: OpCounter | None = None, lines: bool = False) -> int:
-    """Visit every prefix normal word of length n; returns how many there are.
-
-    The all-zero word and the single-1 word come first, then the tree rooted
-    at 110^(n-2) supplies the rest.  LEX output is globally lexicographic;
-    GRAY output has all consecutive Hamming distances <= 3 and closes the
-    cycle at distance 2 from the last word back to the first.
-
-    With `lines=True` (also in critstats.critset), `visit` receives the same
-    listing as text chunks, runs of whole lines "word\\n" of n + 1
-    characters each (see the module docstring), to write unsplit.
-    """
+    """Visit every prefix normal word of length n in `order`, each as a str,
+    or with `lines=True` as the module docstring's text chunks to write
+    unsplit; returns how many there are."""
     return _visit_each(_words(n, order, counter), visit, lines)
 
 

@@ -1,14 +1,6 @@
-"""Minimum prefix density and infinite extensions of prefix normal words.
-
-Repeatedly appending the shortest run of 0s followed by a 1 (the densest
-extension that stays prefix normal) turns a finite word into an infinite one
-that is ultimately periodic.  `extend_min` finds each 0-run by trying every
-candidate with the quadratic test; it is the reference.  Each entry point
-checks its seed once with `words._pn_ones` and keeps the positions of its
-1s.  The fast path, `_blocks`, steps one block 0^k 1 at a time, with k in
-closed form (`extend_stream`); `ops.min_flip` reads the first block, and
-`detect_period` certifies the period on them.
-"""
+"""Minimum prefix density and the infinite minimal extension of a prefix
+normal word: `extend_min` is the quadratic reference, `extend_stream` the
+block step and `detect_period` the certificate of its period."""
 
 from __future__ import annotations
 

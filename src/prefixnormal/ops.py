@@ -1,10 +1,5 @@
-"""Word operations around flipping and shifting 1s while preserving prefix normality.
-
-`min_flip` is the workhorse: for a prefix normal word it finds the smallest
-position past the rightmost 1 where a 1 can be written without breaking
-prefix normality (the sentinel n+1 means "nowhere"), in O(number of 1s).
-`_run` gives it along a whole bubble run in one pass, for both walks.
-"""
+"""The moves of the generation tree: `bubble`, `flip` at `min_flip`, and
+`_run`, min_flip along a whole bubble run for both walks."""
 
 from __future__ import annotations
 

@@ -1,17 +1,9 @@
-"""Core operations on binary words, represented as '0'/'1' strings.
-
-Positions are 1-based throughout (w_1 is the first symbol), matching the
-usual conventions for words.  The public prefix-normality test,
-`is_prefix_normal`, is a deliberately naive double loop over all factors:
-it is the ground truth that every faster routine in the package is checked
-against.  The package's own paths use `_pn_ones`, an exact test over the
-positions of the 1s alone.
-"""
+"""Binary words as '0'/'1' strings, with 1-based positions: the naive test
+`is_prefix_normal`, the ground truth, and `_pn_ones`, the package's own."""
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from operator import index, sub
 
 # The largest n listed or counted when no cap is given: the walks' work
@@ -141,8 +133,6 @@ def critical_prefix(w: str) -> CritPrefix:
     return CritPrefix(s, t)
 
 
-# typed: oracle_enumerate(2.0) must not return the cached listing of n = 2.
-@lru_cache(maxsize=32, typed=True)
 def oracle_enumerate(n: int, cap: int | None = None) -> tuple[str, ...]:
     """All prefix normal words of length n, in lexicographic order.
 

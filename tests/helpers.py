@@ -6,6 +6,7 @@ calls the CLI in this process and captures what it writes.
 """
 
 import contextlib
+import functools
 import io
 import json
 from collections import deque
@@ -40,7 +41,7 @@ def pn_def_set(w: str) -> set[str]:
     r = w.rfind("1") + 1
     return {
         v
-        for v in oracle_enumerate(n)
+        for v in pn_words(n)
         if v[: r - 1] == w[: r - 1] and "1" in v[r - 1 :]
     }
 
@@ -164,15 +165,18 @@ def reference_class_root(n: int, s: int, t: int) -> tuple[str | None, str | None
     return seed, flip(seed, phi) if phi <= n else None
 
 
-def pn_words(n: int) -> tuple[str, ...]:
-    return oracle_enumerate(n)
+@functools.cache
+def pn_words(n: int, cap: int | None = None) -> tuple[str, ...]:
+    """oracle_enumerate(n, cap), listed once per (n, cap) for the whole
+    suite: the package's oracle keeps nothing between calls."""
+    return oracle_enumerate(n, cap)
 
 
 def seeds_ending_in_one(max_len: int) -> list[str]:
     return [
         w
         for n in range(1, max_len + 1)
-        for w in oracle_enumerate(n)
+        for w in pn_words(n)
         if w.endswith("1")
     ]
 
@@ -273,7 +277,7 @@ def verify_densest(w: str, n: int, cap: int | None = None) -> bool:
         raise ValueError("n must be at least the seed length")
     ext = stream_prefix(w, n)
     pv = prefix_counts(ext)
-    for z in oracle_enumerate(n, cap):
+    for z in pn_words(n, cap):
         if z.startswith(w):
             pz = prefix_counts(z)
             if any(pv[i] < pz[i] for i in range(1, n + 1)):

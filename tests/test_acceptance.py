@@ -25,11 +25,10 @@ from prefixnormal import (
     iter_all,
     iter_pn,
     min_flip,
-    oracle_enumerate,
 )
 from prefixnormal.ops import _run
 
-from helpers import verify_densest
+from helpers import pn_words, verify_densest
 
 TABLE_SMALL = {
     1: ["0", "1"],
@@ -87,7 +86,7 @@ def test_c02_generator_equals_bruteforce_2_to_18():
     t0 = time.time()
     ok = True
     for n in range(2, 19):
-        expected = list(oracle_enumerate(n))
+        expected = list(pn_words(n))
         lex = list(iter_all(n, Order.LEX))
         gray = list(iter_all(n, Order.GRAY))
         ok = ok and lex == expected
@@ -114,7 +113,7 @@ def test_c03_min_flip_fixtures():
 def test_c04_bubble_shortcut_equals_rescan_up_to_16():
     ok = True
     for n in range(2, 17):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if w.count("1") >= 2:
                 r = w.rfind("1") + 1
                 rest, second, _, _ = _run([i for i, ch in enumerate(w, 1) if ch == "1"], n)
@@ -168,7 +167,7 @@ def test_c08_critset_partition_and_histogram_up_to_14():
                 if cnt:
                     per_length[s + t] = per_length.get(s + t, 0) + cnt
         ok = ok and len(seen) == len(set(seen))
-        ok = ok and set(seen) | {"0" * n} == set(oracle_enumerate(n))
+        ok = ok and set(seen) | {"0" * n} == set(pn_words(n))
         per_length[n] = per_length.get(n, 0) + 1  # the all-zero word
         hist = critical_prefix_histogram(n)
         ok = ok and hist.bins == per_length
@@ -180,7 +179,7 @@ def test_c09_extension_periodicity_sweep_up_to_10():
     ok = True
     swept = 0
     for n in range(1, 11):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if not w.endswith("1"):
                 continue
             swept += 1
@@ -212,7 +211,7 @@ def test_c11_densest_extension_dominates():
     t0 = time.time()
     ok = True
     for k in range(1, 7):
-        for w in oracle_enumerate(k):
+        for w in pn_words(k):
             if not w.endswith("1"):
                 continue
             for n in range(len(w), 13):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixnormal import (Order, _kernel, cli, critset, extend_min, extend_stream, generate,
+from prefixnormal import (Order, _kernel, cli, critset, extend_min, extend_stream,
                           hamming, infinite, iter_all)
 from prefixnormal.generate import _visit_each
 
@@ -111,12 +111,11 @@ def test_gen_and_critset_output_equals_the_complete_list():
 
 @pytest.mark.parametrize("batch", [1, 2, 3])
 def test_word_output_across_batch_boundaries(batch, monkeypatch):
-    # Text chunks of `batch` words from the Python walk, and from the
-    # compiled walk's two-line floor up, over word counts that fill whole
-    # chunks and leave a last partial one (the class has 13 words), and an
-    # empty class: a dropped or repeated chunk, or a JSON separator missed
-    # between two chunks, changes the bytes.
-    monkeypatch.setattr(generate, "_WALK_CHUNK", batch)
+    # A byte budget of 0, 16 and 32 cuts both walks' text into chunks of
+    # two lines at every n, then of two and of three lines at n = 9, over
+    # word counts that fill whole chunks and leave a last partial one (the
+    # class has 13 words), and an empty class: a dropped or repeated chunk,
+    # or a JSON separator missed between two chunks, changes the bytes.
     monkeypatch.setattr(_kernel, "_CHUNK", 16 * (batch - 1))
     for walk in ("compiled", "python"):
         if walk == "python":

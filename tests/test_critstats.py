@@ -13,12 +13,11 @@ from prefixnormal import (
     generate,
     hamming,
     is_prefix_normal,
-    oracle_enumerate,
 )
 from prefixnormal import _kernel
 from prefixnormal.critstats import _classes
 
-from helpers import reference_class_root
+from helpers import pn_words, reference_class_root
 
 
 def collect(n, s, t, order=Order.LEX):
@@ -29,7 +28,7 @@ def collect(n, s, t, order=Order.LEX):
 
 def by_oracle(n, s, t):
     return [
-        w for w in oracle_enumerate(n)
+        w for w in pn_words(n)
         if (cp := critical_prefix(w)).s == s and cp.t == t
     ]
 
@@ -116,7 +115,7 @@ def test_disjoint_cover():
             for t in range(0, n - s + 1):
                 seen.extend(collect(n, s, t))
         assert len(seen) == len(set(seen))
-        assert set(seen) | {"0" * n} == set(oracle_enumerate(n))
+        assert set(seen) | {"0" * n} == set(pn_words(n))
 
 
 def test_subtree_locality():
@@ -259,12 +258,12 @@ def test_histogram_equals_per_word_tally():
     # the fold is checked against something other than itself.
     for n in range(1, 15):
         tally: dict[int, int] = {}
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             cp = critical_prefix(w)
             tally[cp.s + cp.t] = tally.get(cp.s + cp.t, 0) + 1
         hist = critical_prefix_histogram(n)
         assert hist.bins == tally, n
-        assert hist.total == len(oracle_enumerate(n))
+        assert hist.total == len(pn_words(n))
 
 
 def test_histogram_json():

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,11 @@ from prefixnormal import (
     iter_all,
     iter_pn,
     min_flip,
-    oracle_enumerate,
 )
 from prefixnormal.critstats import _classes
 from prefixnormal.generate import _count, _visit_each, _walk
 
-from helpers import (dfs_listing, lines_of_width, pn_def_set, reference_inorder,
+from helpers import (dfs_listing, lines_of_width, pn_def_set, pn_words, reference_inorder,
                      reference_postorder, run_in_process, walk_count)
 
 GRAY_SUBTREE_8 = [
@@ -67,7 +67,7 @@ def test_generate_pn_preconditions():
 
 def test_walk_matches_reference_recursion():
     for n in range(2, 10):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if w.count("1") < 2:
                 continue
             assert list(iter_pn(w, Order.LEX)) == reference_inorder(w), w
@@ -78,7 +78,7 @@ def _pn_pool():
     return [
         w
         for n in range(2, 15)
-        for w in oracle_enumerate(n)
+        for w in pn_words(n)
         if w.count("1") >= 2
     ]
 
@@ -148,7 +148,7 @@ def test_listings_refuse_an_order_that_is_not_an_order():
 
 def test_full_enumeration_against_bruteforce():
     for n in range(2, 13):
-        expected = list(oracle_enumerate(n))
+        expected = list(pn_words(n))
         lex = list(iter_all(n, Order.LEX))
         gray = list(iter_all(n, Order.GRAY))
         assert lex == expected
@@ -191,7 +191,7 @@ def test_fast_phi_shortcut_verified_inline():
 
 def test_tree_shape_observations():
     for n in range(3, 10):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if w.count("1") < 2:
                 continue
             r = w.rfind("1") + 1
@@ -239,7 +239,7 @@ def test_visitors_receive_str_words():
             critset(10, s, t, seen.append, order)
             assert all(type(w) is str for w in seen)
             assert sorted(seen) == [
-                w for w in oracle_enumerate(10)
+                w for w in pn_words(10)
                 if (cp := critical_prefix(w)).s == s and cp.t == t
             ], (s, t, order)
 
@@ -313,21 +313,37 @@ def test_text_chunks_join_to_the_word_listing(monkeypatch, kernel):
 
 def test_python_walk_chunks_are_lines_of_width_n_plus_1(monkeypatch):
     # _visit_each counts a listing by its length over its first line's.
-    # Uncharged, the Python walk's chunks hold _WALK_CHUNK lines, 1 to 3
-    # here, so that chunks end on every line; charged, each holds one.
+    # Uncharged, the Python walk's chunks hold as many lines as the lister's
+    # cap, 2 or 3 here, so that chunks end on every line; charged, each
+    # holds one.
     monkeypatch.setattr(_kernel, "load", lambda: None)
     for order in Order:
         for n in range(2, 11):
             for root in (a for a in ([1, 2], [1, 2, 4], [1, 2, 3, 6]) if a[-1] <= n):
                 want = "".join(_walk(root, n, order))
-                for size in (1, 2, 3):
-                    monkeypatch.setattr(generate, "_WALK_CHUNK", size)
+                for size in (2, 3):
+                    monkeypatch.setattr(_kernel, "_CHUNK", size * (n + 1))
                     chunks = list(generate._tree(root, n, order))
                     assert all(lines_of_width(c, n) for c in chunks), (root, size)
                     assert "".join(chunks) == want
                 chunks = list(generate._tree(root, n, order, OpCounter()))
                 assert all(lines_of_width(c, n) and c.count("\n") == 1 for c in chunks)
                 assert "".join(chunks) == want
+
+
+def test_both_walks_cut_chunks_by_one_byte_budget(monkeypatch):
+    # Uncharged, the Python walk's chunks hold whole lines and at most the
+    # bytes one native call may write (`_kernel.buffers`, the bound the
+    # lister's chunks are held to in test_kernel), filled to within a line;
+    # 256 lines of n = 96 would not fit.  Only the first chunks are read:
+    # the trees are huge.
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for n in (95, 96, 100, 200):
+        cap = _kernel.buffers(n)[1]
+        for order in Order:
+            for chunk in islice(generate._tree([1, 2], n, order), 3):
+                assert lines_of_width(chunk, n), (n, order)
+                assert cap - (n + 1) < len(chunk) <= cap, (n, order, len(chunk))
 
 
 @pytest.mark.parametrize("kernel", [True, False])
@@ -349,7 +365,7 @@ def test_every_chunk_source_yields_lines_of_width_n_plus_1(monkeypatch, kernel):
     for order in Order:
         for n in range(4):
             listing = fixed(generate._words(n, order), n)
-            assert sorted(listing.splitlines()) == list(oracle_enumerate(n))
+            assert sorted(listing.splitlines()) == list(pn_words(n))
             assert fixed(generate._words(n, order, OpCounter()), n) == fixed(
                 generate._words(n, order), n)
         # Every class at n <= 10: singletons, classes with a flip-subtree
@@ -422,7 +438,7 @@ def test_count_pn():
     assert count_pn(0) == 1
     assert count_pn(1) == 2
     assert count_pn(5) == 14
-    assert count_pn(16) == len(oracle_enumerate(16))
+    assert count_pn(16) == len(pn_words(16))
     for n in range(19):
         assert count_pn(n) == sum(1 for _ in iter_all(n)), n
     with pytest.raises(ValueError):
@@ -437,7 +453,7 @@ def test_count_matches_the_walk(monkeypatch, kernel):
     if not kernel:
         monkeypatch.setattr(_kernel, "load", lambda: None)
     for n in range(2, 15):
-        seeds = [w for w in oracle_enumerate(n) if w.count("1") >= 2]
+        seeds = [w for w in pn_words(n) if w.count("1") >= 2]
         roots = [[i for i, ch in enumerate(w, 1) if ch == "1"] for w in seeds]
         counts = _count(roots, n)
         assert counts == [sum(1 for _ in iter_pn(w)) for w in seeds], n

@@ -16,12 +16,12 @@ import pytest
 
 from prefixnormal import (OpCounter, Order, _kernel, count_pn, critset_count, critset_table,
                           generate, generate_all, generate_pn, iter_all, iter_pn,
-                          is_prefix_normal, oracle_enumerate)
+                          is_prefix_normal)
 from prefixnormal.critstats import _classes
 from prefixnormal.generate import _count, _walk
 from prefixnormal.ops import _min_flip, _run
 
-from helpers import lines_of_width, reference_class_root, run_in_process, walk_count
+from helpers import lines_of_width, pn_words, reference_class_root, run_in_process, walk_count
 
 # count_pn(n) for n = 0 .. 21 (OEIS A194850).
 COUNTS = [1, 2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185,
@@ -133,7 +133,7 @@ def test_kernel_resumes_after_any_budget(monkeypatch):
     for budget in (1, 2, 3, 7):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n in range(2, 11):
-            for w in oracle_enumerate(n):
+            for w in pn_words(n):
                 if w.count("1") >= 2:
                     assert count(ones(w), n) == walk_count(ones(w), n), (budget, w)
         assert count(ones(long_root), 64) == walk_count(ones(long_root), 64) == 4095
@@ -144,7 +144,7 @@ def test_count_mode_equals_the_python_walk_on_every_node_up_to_14(monkeypatch):
     # a frame only if it has a flip child below n: every node as a root,
     # resumed after any budget, also from inside a pushed frame.
     count = native().count
-    batches = {n: [ones(w) for w in oracle_enumerate(n) if w.count("1") >= 2]
+    batches = {n: [ones(w) for w in pn_words(n) if w.count("1") >= 2]
                for n in range(2, 15)}
     want = {n: [walk_count(a, n) for a in batch] for n, batch in batches.items()}
     # Roots with two 1s (no second), and runs whose rest is n + 1 (every
@@ -286,7 +286,7 @@ def test_kernel_lister_resumes_after_any_budget(monkeypatch):
     for budget in (1, 2, 3, 7):
         monkeypatch.setattr(_kernel, "_BUDGET", budget)
         for n in range(2, 11):
-            for w in oracle_enumerate(n):
+            for w in pn_words(n):
                 if w.count("1") >= 2:
                     for order in Order:
                         assert kernel_lines(w, order) == walk_lines(w, order), (budget, w)

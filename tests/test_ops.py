@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixnormal import bubble, extend_min, flip, is_prefix_normal, min_flip, oracle_enumerate
+from prefixnormal import bubble, extend_min, flip, is_prefix_normal, min_flip
 from prefixnormal.ops import _run
 
-from helpers import oracle_min_flip, prefix_normal_form, reference_phi_scan
+from helpers import oracle_min_flip, pn_words, prefix_normal_form, reference_phi_scan
 
 words = st.text(alphabet="01", min_size=1, max_size=24)
 
@@ -61,7 +61,7 @@ def test_min_flip_preconditions():
 
 def test_min_flip_matches_bruteforce_up_to_14():
     for n in range(1, 15):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if "1" in w:
                 assert min_flip(w) == oracle_min_flip(w), w
 
@@ -82,7 +82,7 @@ def test_phi_reads_one_position_per_pair():
     # The closed form reads the k - 1 paired positions of the k 1s, and
     # nothing when the rightmost 1 is at n.
     for n in range(2, 15):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if w.count("1") >= 2:
                 _, reads = run_min_flip(w, w.rfind("1") + 1)
                 assert reads == (0 if w.endswith("1") else w.count("1") - 1), w
@@ -97,7 +97,7 @@ def assert_phi_matches_scan(w: str) -> None:
 
 def test_phi_matches_full_scan():
     for n in range(1, 17):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if "1" in w:
                 assert_phi_matches_scan(w)
 
@@ -114,7 +114,7 @@ def test_min_flip_is_the_capped_minimal_extension():
     # min_flip puts the next 1 where extend_min puts it after w[:r], unless
     # that is past the end.
     for n in range(1, 13):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if "1" in w:
                 r = w.rfind("1") + 1
                 assert min_flip(w) == min(n + 1, len(extend_min(w[:r]))), w
@@ -122,7 +122,7 @@ def test_min_flip_is_the_capped_minimal_extension():
 
 def test_flips_at_or_past_min_flip_stay_pn():
     for n in range(2, 17):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if "1" not in w:
                 continue
             phi = min_flip(w, validate=False)
@@ -132,7 +132,7 @@ def test_flips_at_or_past_min_flip_stay_pn():
 
 def test_flips_before_min_flip_break_pn():
     for n in range(2, 17):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if "1" not in w:
                 continue
             r = w.rfind("1") + 1
@@ -143,7 +143,7 @@ def test_flips_before_min_flip_break_pn():
 
 def test_bubble_preserves_pn():
     for n in range(2, 17):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if w.count("1") >= 2 and w.endswith("0"):
                 assert is_prefix_normal(bubble(w)), w
 
@@ -159,7 +159,7 @@ def test_flip_keeps_pn_agrees_with_oracle_and_threshold():
     # A flip past the rightmost 1 keeps the word prefix normal exactly from
     # min_flip on.
     for n in range(2, 15):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if "1" not in w:
                 continue
             r = w.rfind("1") + 1
@@ -181,6 +181,6 @@ def test_min_flip_after_bubble_fixtures():
 
 def test_min_flip_after_bubble_matches_rescan_up_to_12():
     for n in range(2, 13):
-        for w in oracle_enumerate(n):
+        for w in pn_words(n):
             if w.count("1") >= 2 and w.endswith("0"):
                 assert bubbled_phi(w) == min_flip(bubble(w)), w

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -168,6 +169,23 @@ def test_oracle_enumerate_small_lengths():
     assert oracle_enumerate(0) == ("",)
 
 
+def test_oracle_enumerate_keeps_nothing_between_calls():
+    # Each call lists afresh, and the memory of an n = 16 listing (7,568
+    # words) comes back once it is dropped; tests that reuse a listing call
+    # helpers.pn_words.
+    assert oracle_enumerate(12) is not oracle_enumerate(12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        listing = oracle_enumerate(16)
+        assert len(listing) == 7568
+        del listing
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 50_000, after - before
+
+
 def test_oracle_enumerate_cap_refusal():
     # The messages the CLI prints for the same refusals.
     with pytest.raises(ValueError, match=r"^n=25 exceeds the oracle cap \(20\)$"):
@@ -253,7 +271,7 @@ def test_both_walks_refuse_the_same_non_integer_arguments():
     assert not defaults
     # The generation cap is defined in words and kept under its older names.
     assert DEFAULT_GEN_CAP == generate.DEFAULT_GEN_CAP == words_module.DEFAULT_GEN_CAP == 40
-    # The oracle's cache tells 2.0 from 2.
+    # A float n is refused, not listed as the integer it equals.
     assert oracle_enumerate(2) == ("00", "10", "11")
     with pytest.raises(ValueError, match="^n must be an integer$"):
         oracle_enumerate(2.0)

@@ -20,7 +20,7 @@ from operator import add
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
-# Steps per native call, about 8 ms of work: Python handles Ctrl-C and
+# Steps per native call, about 3.4 ms of work: Python handles Ctrl-C and
 # other signals only between calls.
 _BUDGET = 1 << 20
 # Bytes of lines per chunk of either walk (`buffers`): warm `gen -n 18 --order gray

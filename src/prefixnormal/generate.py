@@ -67,7 +67,6 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
     reads and 3 per bubble on entering a run, 2 per step up a run, 1 per
     flip and 1 per return from a flip child.
     """
-    ctr = counter
     lex = order is Order.LEX
     a = a[:]
     r = a[-1]
@@ -78,21 +77,21 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
     # Every run starts at or after the root's r, and base[q:] is all 0s
     # for q >= r, so a node's line is base[:q-1] + tails[n-q].
     tails = ["1" + "0" * j + "\n" for j in range(n - r + 1)]
-    if ctr:
-        ctr.count += n
+    if counter:
+        counter.count += n
     stack: list[tuple[str, int, int, int, int, str]] = []
     push = stack.append
     pop = stack.pop
 
     while True:
         rest, second, end, reads = _run(a, n)
-        if ctr:
-            ctr.count += reads + 3 * (n - r)
+        if counter:
+            counter.count += reads + 3 * (n - r)
         # end <= n: the node at n has no flip child.
         yield base[: n - 1] + tails[0]
         for q in range(n - 1, end - 1, -1):
-            if ctr:
-                ctr.count += 2
+            if counter:
+                counter.count += 2
             yield base[: q - 1] + tails[n - q]
         q = end
         while True:
@@ -105,12 +104,12 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
             else:
                 q -= 1
                 word = base[: q - 1] + tails[n - q]
-                if ctr:
-                    ctr.count += 2
+                if counter:
+                    counter.count += 2
                 if lex:
                     yield word
-                if ctr:
-                    ctr.count += 1
+                if counter:
+                    counter.count += 1
                 phi = max(rest, (second or q) + q) - 1
                 if phi < n:
                     push((base, r, rest, second, q, word))
@@ -120,26 +119,24 @@ def _walk(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
                     break
                 # A flip child at n is a single leaf.
                 yield word[:-2] + "1\n"
-            if ctr:
-                ctr.count += 1
+            if counter:
+                counter.count += 1
             if not lex:
                 yield word
 
 
-def _tree(a: list[int], n: int, order: Order, counter: OpCounter | None = None):
-    """The lines of _walk(a, n, order, counter) as an iterator of text
-    chunks: the compiled walk's, one per native call, when it can be built
-    and no counter is charged, else the Python walk's, as many lines as the
-    lister's cap (`_kernel.buffers`) holds to a chunk, or one to a chunk
-    when charged, so the counter moves word by word."""
+def _tree(a: list[int], n: int, order: Order):
+    """The lines of _walk(a, n, order) as an iterator of text chunks: the
+    compiled walk's, one per native call, when it can be built, else the
+    Python walk's, as many lines as the lister's cap (`_kernel.buffers`)
+    holds to a chunk."""
     from . import _kernel
 
-    kernel = _kernel.load() if counter is None else None
-    if kernel is not None:
+    if (kernel := _kernel.load()) is not None:
         return kernel.lines(a, n, order is Order.LEX)
-    walk = _walk(a, n, order, counter)
+    walk = _walk(a, n, order)
     size = _kernel.buffers(n)[1] // (n + 1)
-    return walk if counter else iter(lambda: "".join(islice(walk, size)), "")
+    return iter(lambda: "".join(islice(walk, size)), "")
 
 
 def _count(roots: list[list[int]], n: int) -> list[int]:
@@ -156,16 +153,18 @@ def _count(roots: list[list[int]], n: int) -> list[int]:
 
 def _words(n: int, order: Order, counter: OpCounter | None = None):
     """The text chunks of every listing of length n, once n and `order`
-    are checked: the two head words, one chunk, or one chunk each charged
-    with n reads, then the tree rooted at 110^(n-2) (`_tree`)."""
+    are checked: the two head words, then the tree rooted at 110^(n-2): one
+    line to a chunk when charged, so the counter moves word by word (n
+    reads per head), else the heads as one chunk and `_tree`'s chunks."""
     n = _checked_length(n)
     _checked_order(order)
     if n < 2:
         # Words of length <= 1 are emitted without counted work.
         return iter(["0\n1\n" if n else "\n"])
     heads = ("0" * n + "\n", "1" + "0" * (n - 1) + "\n")
-    heads = _charged(heads, counter, n) if counter else ("".join(heads),)
-    return chain(heads, _tree([1, 2], n, order, counter))
+    if counter:
+        return chain(_charged(heads, counter, n), _walk([1, 2], n, order, counter))
+    return chain(("".join(heads),), _tree([1, 2], n, order))
 
 
 def _charged(chunks, counter: OpCounter, reads: int):

@@ -7,8 +7,11 @@ Each run starts one process per tree, the two in alternating order, that
 imports prefixnormal from that tree, warms the path up at a small size
 (imports, kernel load), then calls it for 0.3 s or once, whichever is
 longer, and reports the median call.  The script prints, for each path,
-the median and quartiles of each tree's runs and the ratio of the medians
-(NEW / OLD).  The paths:
+the median and quartiles of each tree's runs, the ratio of the medians
+(NEW / OLD) and in how many runs NEW was faster than OLD; a gain needs
+NEW faster in at least 9 of 10.  Report beside every such run an A/A
+control, the same tree passed as OLD and NEW, which shows how far the
+ratio and the count stray when nothing changed.  The paths:
 
 - gen-18-no-kernel: `gen -n 18` through `cli.main`, with `_kernel.load`
   patched to return None, so the Python walk lists every word;
@@ -102,18 +105,20 @@ def main(argv):
     args = parser.parse_args(argv)
     if args.runs < 9:
         parser.error("--runs must be at least 9")
-    print("path\told median s [q1, q3]\tnew median s [q1, q3]\tnew/old")
+    print("path\told median s [q1, q3]\tnew median s [q1, q3]\tnew/old\tnew faster")
     for path in PATHS:
-        runs = {args.old: [], args.new: []}
+        # Indexed by side, not by tree: an A/A control passes one tree twice.
+        runs = ([], [])
         for i in range(args.runs):
-            for src in (args.old, args.new)[:: 1 if i % 2 == 0 else -1]:
-                runs[src].append(timed(src, path))
+            for side in (0, 1)[:: 1 if i % 2 == 0 else -1]:
+                runs[side].append(timed((args.old, args.new)[side], path))
         cells = []
-        for src in (args.old, args.new):
-            q1, median, q3 = quartiles(runs[src])
+        for side in runs:
+            q1, median, q3 = quartiles(side)
             cells.append(f"{median:.4f} [{q1:.4f}, {q3:.4f}]")
-        ratio = statistics.median(runs[args.new]) / statistics.median(runs[args.old])
-        print(f"{path}\t{cells[0]}\t{cells[1]}\t{ratio:.3f}", flush=True)
+        ratio = statistics.median(runs[1]) / statistics.median(runs[0])
+        wins = sum(new < old for old, new in zip(*runs))
+        print(f"{path}\t{cells[0]}\t{cells[1]}\t{ratio:.3f}\t{wins}/{args.runs}", flush=True)
 
 
 if __name__ == "__main__":

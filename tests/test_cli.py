@@ -141,22 +141,26 @@ def test_word_output_across_batch_boundaries(batch, monkeypatch):
     ("gen", "-n", 18, "--order", "gray", "--format", "json"),
     ("gen", "-n", 18),
 ])
-def test_word_output_streams_in_bounded_memory(argv):
+def test_word_output_streams_in_bounded_memory(monkeypatch, argv):
     # 25,500 words from gen, 3,557 from the class and 200,000 blocks from
     # extend, written a chunk at a time: the peak of traced allocations
     # stays far below what a list of the words, or the extension's text,
-    # would take.  The compiled walk is loaded first: its one-time
-    # build and load is not part of the stream.
+    # would take.  gen and critset run on the compiled walk, loaded first
+    # (its one-time build and load is not part of the stream), then on the
+    # Python walk; extend, which neither walk serves, runs once.
     _kernel.load()
-    with contextlib.redirect_stdout(_Discard()):
-        tracemalloc.start()
-        try:
-            code = cli.main([str(a) for a in argv])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    assert peak < 200_000, peak
+    for walk in ("compiled", "python")[: 1 if argv[0] == "extend" else 2]:
+        if walk == "python":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        with contextlib.redirect_stdout(_Discard()):
+            tracemalloc.start()
+            try:
+                code = cli.main([str(a) for a in argv])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0, walk
+        assert peak < 200_000, (walk, peak)
 
 
 def test_gen_cap_flag_and_env():
@@ -175,15 +179,21 @@ def test_gen_cap_flag_and_env():
 
 
 def test_gen_reader_closing_the_pipe_early():
-    proc = subprocess.Popen(CMD + ["gen", "-n", "20"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert first == b"0" * 20 + b"\n"
-    assert stderr == b""
+    # gen writes the walks' chunks, extend its own batches of blocks, and
+    # critset its seed as a chunk of its own before the class's subtree
+    # (104,456 words): each stops quietly once its reader has gone.
+    for argv, first in (
+        (["gen", "-n", "20"], b"0" * 20 + b"\n"),
+        (["extend", "1101001", "--steps", "2000000"], b"1101001"),
+        (["critset", "-n", "24", "-s", "2", "-t", "1"], b"1101" + b"0" * 20 + b"\n"),
+    ):
+        proc = subprocess.Popen(CMD + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        got = proc.stdout.read(len(first))
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, argv
+        assert (got, stderr) == (first, b""), argv
 
 
 def test_gen_piped_into_head_keeps_stderr_empty():

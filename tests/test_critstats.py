@@ -228,6 +228,8 @@ def test_table_lower_bounds():
         critset_table(4, 0, 0)
     with pytest.raises(ValueError, match=r"^t_max must be >= 0$"):
         critset_table(4, 1, -1)
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1$"):
+        critset_table(4, 1, 0, jobs=0)
 
 
 def test_histogram_small_fixture():

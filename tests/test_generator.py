@@ -313,9 +313,10 @@ def test_text_chunks_join_to_the_word_listing(monkeypatch, kernel):
 
 def test_python_walk_chunks_are_lines_of_width_n_plus_1(monkeypatch):
     # _visit_each counts a listing by its length over its first line's.
-    # Uncharged, the Python walk's chunks hold as many lines as the lister's
-    # cap, 2 or 3 here, so that chunks end on every line; charged, each
-    # holds one.
+    # The Python walk's chunks hold as many lines as the lister's cap, 2 or
+    # 3 here, so that chunks end on every line.  The charged walk's
+    # one-line chunks come from _words: the marks check above and the
+    # widths check below cover them.
     monkeypatch.setattr(_kernel, "load", lambda: None)
     for order in Order:
         for n in range(2, 11):
@@ -326,9 +327,6 @@ def test_python_walk_chunks_are_lines_of_width_n_plus_1(monkeypatch):
                     chunks = list(generate._tree(root, n, order))
                     assert all(lines_of_width(c, n) for c in chunks), (root, size)
                     assert "".join(chunks) == want
-                chunks = list(generate._tree(root, n, order, OpCounter()))
-                assert all(lines_of_width(c, n) and c.count("\n") == 1 for c in chunks)
-                assert "".join(chunks) == want
 
 
 def test_both_walks_cut_chunks_by_one_byte_budget(monkeypatch):

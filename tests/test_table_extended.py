@@ -2,9 +2,9 @@
 
 With the compiled counting kernel it takes under a second and runs by
 default.  Without the kernel it is skipped, because the Python walk lists
-every word of the matrix, about two minutes (121 s measured once, Python
-3.11, 2 CPUs); set PREFIXNORMAL_EXTENDED=1 to run it on the Python walk
-anyway.
+every word of the matrix, about three minutes (170 s and 179 s in two
+runs, Python 3.11, 2 CPUs); set PREFIXNORMAL_EXTENDED=1 to run it on the
+Python walk anyway.
 """
 
 import os

@@ -24,9 +24,9 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 # other signals only between calls.
 _BUDGET = 1 << 20
 # Bytes of lines per chunk of either walk (`buffers`): warm `gen -n 18 --order gray
-# --format json` peaks at 168 kB here and 203 kB at 32 KiB (tracemalloc), and a
-# plain `gen -n 18` from the Python walk, which holds a chunk's lines as it joins
-# them, at 176 kB; test_cli bounds both at 200 kB.
+# --format json` peaks at 116 kB here and 151 kB at 32 KiB (tracemalloc), and a
+# plain `gen -n 18` from the Python walk, which joins a chunk 64 lines at a time,
+# at 56 kB; test_cli bounds both at 200 kB.
 _CHUNK = 3 << 13
 
 Kernel = namedtuple("Kernel", "count lines")

@@ -13,6 +13,7 @@ interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import chain, islice
@@ -188,6 +189,8 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+# Built once per process: building it costs 25 parses, and a parse changes nothing in it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefixnormal",

@@ -136,7 +136,9 @@ def _tree(a: list[int], n: int, order: Order):
         return kernel.lines(a, n, order is Order.LEX)
     walk = _walk(a, n, order)
     size = _kernel.buffers(n)[1] // (n + 1)
-    return iter(lambda: "".join(islice(walk, size)), "")
+    # Joined 64 lines at a time, so that a chunk's lines are never all alive.
+    steps = [64] * (size // 64) + [size % 64]
+    return iter(lambda: "".join(["".join(islice(walk, k)) for k in steps]), "")
 
 
 def _count(roots: list[list[int]], n: int) -> list[int]:
@@ -200,13 +202,18 @@ def _visit_each(chunks, visit, lines: bool = False) -> int:
         if lines:
             visit(chunk)
         else:
-            for word in chunk.splitlines():
+            for word in _split(chunk):
                 visit(word)
         size += len(chunk)
         width = width or chunk.find("\n") + 1
         # Dropped before the next chunk is built: one chunk alive at a time.
         del chunk
     return size // width if width else 0
+
+
+def _split(chunk: str) -> list[str]:
+    # The words of whole lines "word\n"; splitlines also tests each character for \r and 7 more.
+    return chunk[:-1].split("\n")
 
 
 def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
@@ -219,7 +226,7 @@ def generate_pn(seed: str, visit, order: Order = Order.LEX) -> int:
 def iter_pn(seed: str, order: Order = Order.LEX):
     """Pull-iterator version of generate_pn: yields each word as a str."""
     chunks = _tree(_checked_seed(seed), len(seed), _checked_order(order))
-    return chain.from_iterable(map(str.splitlines, chunks))
+    return chain.from_iterable(map(_split, chunks))
 
 
 def generate_all(n: int, visit, order: Order = Order.LEX, *,
@@ -232,7 +239,7 @@ def generate_all(n: int, visit, order: Order = Order.LEX, *,
 
 def iter_all(n: int, order: Order = Order.LEX):
     """Pull-iterator version of generate_all: yields each word as a str."""
-    return chain.from_iterable(map(str.splitlines, _words(n, order)))
+    return chain.from_iterable(map(_split, _words(n, order)))
 
 
 def count_pn(n: int, cap: int | None = None) -> int:

@@ -285,6 +285,29 @@ def test_table_jobs_is_refused():
                               + "prefixnormal: error: unrecognized arguments: --jobs 2\n")
 
 
+def test_the_shared_parser_keeps_nothing_from_one_call_to_the_next(monkeypatch):
+    # cli.main builds its parser once per process.  An argparse rejection,
+    # a rejected length and a listing, one after another in this process,
+    # each print what their argv prints in a fresh process, with its code.
+    # COLUMNS fixes the width that argparse wraps its usage line at.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._build_parser() is cli._build_parser()
+    codes = []
+    for argv in (["gen", "-n", "x"], ["gen", "-n", "-1"], ["gen", "-n", "4", "--format", "json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        fresh = run(*argv)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, 2, 0]
+    assert err.getvalue() == "" and out.getvalue().startswith('{"count": 8, ')
+
+
 def test_table_negative_length():
     # The length is checked before the table's bounds.
     res = run("table", "-n", "-2")

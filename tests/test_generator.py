@@ -118,6 +118,31 @@ def test_iter_all_equals_the_python_walk_without_the_kernel(monkeypatch):
             assert list(iter_all(n, order)) == want, (n, order)
 
 
+@pytest.mark.parametrize("kernel", [True, False])
+def test_words_split_from_chunks_equal_their_splitlines(monkeypatch, kernel):
+    # Chunks are split at "\n" alone (generate._split): on both walks, from
+    # the empty word up, the words are the splitlines of the joined chunks.
+    if kernel:
+        if _kernel.load() is None:
+            pytest.skip("no compiled walk on this machine")
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert list(iter_all(0)) == [""]
+    assert list(iter_all(1)) == ["0", "1"]
+    seen = []
+    assert generate_all(0, seen.append) == 1 and seen == [""]
+    for order in Order:
+        for n in range(13):
+            want = "".join(generate._words(n, order)).splitlines()
+            seen = []
+            assert generate_all(n, seen.append, order) == len(want), (n, order)
+            assert list(iter_all(n, order)) == seen == want, (n, order)
+            for seed in ("11" + "0" * (n - 2), "1101" + "0" * (n - 4), "1" * n):
+                if len(seed) == n >= 2:
+                    tree = generate._tree(generate._checked_seed(seed), n, order)
+                    assert list(iter_pn(seed, order)) == "".join(tree).splitlines(), seed
+
+
 def test_iter_all_checks_the_length_when_called():
     # Like iter_pn, before any word is taken.
     for order in Order:
